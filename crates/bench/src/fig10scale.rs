@@ -10,9 +10,8 @@
 //! percentile curve per policy, in microseconds.
 //!
 //! The run is deterministic: integer log-bucketed histograms plus an
-//! all-virtual-time tape make the CSV byte-identical for the same seed at
-//! any `NEPHELE_THREADS` width, which is exactly what the determinism
-//! gate checks.
+//! all-virtual-time tape make the CSV byte-identical for the same seed,
+//! which is exactly what the determinism gate checks.
 
 use faas::{run_macro, MacroConfig, MacroReport, TrafficConfig};
 use sim_core::stats::Series;
@@ -22,12 +21,11 @@ pub const PERCENTILES: [f64; 6] = [50.0, 90.0, 95.0, 99.0, 99.9, 100.0];
 
 /// Runs the macro scenario at `live` concurrently live clones and
 /// returns the per-policy latency-percentile series plus the raw report.
-pub fn run(live: u32, threads: usize) -> (Series, MacroReport) {
+pub fn run(live: u32) -> (Series, MacroReport) {
     let report = run_macro(&MacroConfig {
         live_domains: live,
         batch: 500,
         pool_mib: pool_mib_for(live),
-        threads,
         // Small enough that burst episodes overflow it: the clone_vm
         // policy must actually clone on demand, not coast on idle warmth.
         warm_pool: 32,
@@ -61,9 +59,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_is_identical_across_thread_widths() {
-        let (a, ra) = run(2_000, 1);
-        let (b, rb) = run(2_000, 4);
+    fn csv_is_identical_across_same_seed_runs() {
+        let (a, ra) = run(2_000);
+        let (b, rb) = run(2_000);
         assert_eq!(a.to_csv(), b.to_csv());
         assert_eq!(ra.live_at_replay, rb.live_at_replay);
         assert!(ra.live_at_replay > 2_000);

@@ -29,9 +29,6 @@ pub struct ScaleConfig {
     pub pool_mib: u64,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Worker threads for the deterministic fork/join pool (results are
-    /// identical at any width).
-    pub threads: usize,
     /// Observability knobs; Aggregate mode is the point of this driver.
     pub tracing: TraceConfig,
 }
@@ -43,7 +40,6 @@ impl Default for ScaleConfig {
             batch: 250,
             pool_mib: 1024,
             seed: 0x5ca1e,
-            threads: 1,
             tracing: TraceConfig::aggregate(),
         }
     }
@@ -79,7 +75,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .threads(cfg.threads)
             .tracing(cfg.tracing.clone())
             .audit(AuditMode::Off)
             .build(),
@@ -135,16 +130,10 @@ mod tests {
     /// The headline scale property: 10^4 domains in Aggregate mode with
     /// raw-record retention bounded by concurrently-open spans (a handful)
     /// — not by the millions of span/counter/gauge events the run emits —
-    /// and streaming exports byte-identical across fork/join widths.
+    /// and streaming exports byte-identical across same-seed runs.
     #[test]
-    fn ten_thousand_domains_bounded_sink_and_thread_invariant_exports() {
-        let run = |threads: usize| {
-            run_scale(&ScaleConfig {
-                threads,
-                ..Default::default()
-            })
-        };
-        let single = run(1);
+    fn ten_thousand_domains_bounded_sink_and_reproducible_exports() {
+        let single = run_scale(&ScaleConfig::default());
         assert_eq!(single.domains_created, 10_000, "pool must fit 10^4 clones");
         assert_eq!(single.domains_destroyed, 625);
 
@@ -171,12 +160,11 @@ mod tests {
             single.family_rollup_csv.lines().take(5).collect::<Vec<_>>().join("\n")
         );
 
-        // Determinism: a wider fork/join pool (and a same-seed rerun) must
-        // reproduce every export byte.
-        let wide = run(4);
-        assert_eq!(single.timeline_csv, wide.timeline_csv);
-        assert_eq!(single.metrics_text, wide.metrics_text);
-        assert_eq!(single.family_rollup_csv, wide.family_rollup_csv);
+        // Determinism: a same-seed rerun must reproduce every export byte.
+        let again = run_scale(&ScaleConfig::default());
+        assert_eq!(single.timeline_csv, again.timeline_csv);
+        assert_eq!(single.metrics_text, again.metrics_text);
+        assert_eq!(single.family_rollup_csv, again.family_rollup_csv);
     }
 
     /// Full mode on a smaller run retains O(events) records — the contrast

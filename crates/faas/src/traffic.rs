@@ -273,8 +273,6 @@ pub struct MacroConfig {
     pub pool_mib: u64,
     /// Master seed for the platform and the traffic tape.
     pub seed: u64,
-    /// Fork/join width (results are identical at any width).
-    pub threads: usize,
     /// Warm instances serving the replay.
     pub warm_pool: u32,
     /// Replication factor of the [`Policy::CloneRequest`] replay.
@@ -293,7 +291,6 @@ impl Default for MacroConfig {
             batch: 500,
             pool_mib: 2048,
             seed: 0xfaa5_10ad,
-            threads: 1,
             warm_pool: 256,
             fanout_k: 3,
             churn_every: 64,
@@ -327,7 +324,6 @@ pub fn run_macro(cfg: &MacroConfig) -> MacroReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .threads(cfg.threads)
             .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),
@@ -475,14 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn macro_report_is_thread_invariant() {
-        let run = |threads| {
+    fn macro_report_is_reproducible_from_its_seed() {
+        let run = || {
             run_macro(&MacroConfig {
                 live_domains: 300,
                 batch: 150,
                 pool_mib: 256,
                 warm_pool: 16,
-                threads,
                 traffic: TrafficConfig {
                     requests: 1_000,
                     ..TrafficConfig::default()
@@ -490,8 +485,8 @@ mod tests {
                 ..MacroConfig::default()
             })
         };
-        let a = run(1);
-        let b = run(4);
+        let a = run();
+        let b = run();
         assert_eq!(a.live_at_replay, b.live_at_replay);
         assert_eq!(a.destroyed, b.destroyed);
         for (x, y) in [

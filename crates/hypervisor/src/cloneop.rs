@@ -190,7 +190,11 @@ impl Hypervisor {
             if !p.clone_policy.enabled {
                 return Err(HvError::CloningDisabled(parent));
             }
-            if p.clones_created + nr > p.clone_policy.max_clones {
+            // `checked_add`: an oversized `nr` must not wrap past the limit.
+            if p.clones_created
+                .checked_add(nr)
+                .is_none_or(|total| total > p.clone_policy.max_clones)
+            {
                 return Err(HvError::CloneLimit(parent));
             }
         }
@@ -382,74 +386,44 @@ impl Hypervisor {
 
         let parent_start_info = p2m.get(start_info_pfn.0 as usize).unwrap_or(Mfn(0));
 
-        // ---- Stamp phase: every child's private-page images, vCPU file,
-        // grant/event tables, p2m patch list and name are pure functions
-        // of the frozen parent snapshot, the (no longer mutated) frame
-        // table and the child's pre-assigned id + frame slice — so the
-        // batch fans out across the pool's host workers. Results come
-        // back in child-index order; all clock charges, trace spans and
-        // hypervisor mutations happen in the ordered commit loop below,
-        // which keeps virtual time, the trace and every id byte-identical
-        // at any thread count (the default pool runs this inline).
-        struct StampedChild {
-            aux_frames: Vec<Mfn>,
-            vcpus: Vec<Vcpu>,
-            /// `(dst, image)` pairs to install — `Copy`/`Rewrite` slots only.
-            installs: Vec<(Mfn, crate::memory::PageContent)>,
-            patches: Vec<(u64, Option<Mfn>)>,
-            child_start_info: Mfn,
-            grants: crate::grant::GrantTable,
-            evtchn: crate::event::EventChannels,
-            name: String,
-        }
+        let mut children = Vec::with_capacity(nr as usize);
+        let mut notifications = Vec::with_capacity(nr as usize);
+        for (k, (&child_id, mut fresh)) in child_ids.iter().zip(per_child_frames).enumerate() {
+            let child_span = self.trace().span("clone.child");
+            child_span.attr("child", child_id.0);
+            let aux_frames: Vec<Mfn> = fresh.split_off(private_count as usize);
 
-        let stamped: Vec<StampedChild> = {
-            let pool = self.pool();
-            let frames = self.frames();
-            let batch: Vec<(DomId, Vec<Mfn>)> =
-                child_ids.iter().copied().zip(per_child_frames).collect();
-            let private_slots = &private_slots;
-            let idc_ports = &idc_ports;
-            let parent_name = parent_name.as_str();
-            pool.map(batch, move |k, (child_id, mut fresh)| {
-                let aux_frames: Vec<Mfn> = fresh.split_off(private_count as usize);
+            // vCPUs: registers and affinity replicated; rax = 1 in the child.
+            let child_vcpus: Vec<Vcpu> = {
+                let vspan = self.trace().span("clone.vcpu_copy");
+                vspan.attr("vcpus", vcpus.len());
+                self.clock()
+                    .advance(costs.vcpu_init.saturating_mul(vcpus.len() as u64));
+                vcpus.iter().map(Vcpu::clone_for_child).collect()
+            };
 
-                // vCPUs: registers and affinity replicated; rax = 1 in
-                // the child.
-                let child_vcpus: Vec<Vcpu> =
-                    vcpus.iter().map(Vcpu::clone_for_child).collect();
-
-                // Private pages: build each child's page images from the
-                // parent frames. Equivalent to `copy_page` (+ `write` for
-                // the id rewrite) against the child's fresh frame, but
-                // computed against the immutable snapshot so workers need
-                // no access to the mutable frame table.
-                let mut installs = Vec::new();
-                let mut patches: Vec<(u64, Option<Mfn>)> =
-                    Vec::with_capacity(private_slots.len());
-                let mut remaps: Vec<(Mfn, Mfn)> =
-                    Vec::with_capacity(private_slots.len());
-                let mut child_start_info = Mfn(0);
+            let mut patches: Vec<(u64, Option<Mfn>)> = Vec::with_capacity(private_slots.len());
+            let mut remaps: Vec<(Mfn, Mfn)> = Vec::with_capacity(private_slots.len());
+            let mut child_start_info = Mfn(0);
+            {
+                let pspan = self.trace().span("clone.private_pages");
+                pspan.attr("pages", private_count);
                 for (&(i, policy, mfn), &new) in private_slots.iter().zip(&fresh) {
                     match policy {
                         PrivatePolicy::Copy => {
-                            let img = frames
-                                .inspect(mfn)
-                                .expect("snapshot frames exist")
-                                .content()
-                                .clone();
-                            installs.push((new, img));
+                            self.frames_mut()
+                                .copy_page(mfn, new)
+                                .expect("snapshot frames exist");
                         }
                         PrivatePolicy::Fresh => {}
                         PrivatePolicy::Rewrite => {
-                            let mut img = frames
-                                .inspect(mfn)
-                                .expect("snapshot frames exist")
-                                .content()
-                                .clone();
+                            self.frames_mut()
+                                .copy_page(mfn, new)
+                                .expect("snapshot frames exist");
                             // Rewrite the embedded domain id reference.
-                            img.write(0, &child_id.0.to_le_bytes());
-                            installs.push((new, img));
+                            self.frames_mut()
+                                .write(new, 0, &child_id.0.to_le_bytes())
+                                .expect("freshly allocated frame is writable");
                         }
                     }
                     patches.push((i as u64, Some(new)));
@@ -457,77 +431,6 @@ impl Hypervisor {
                     if i as u64 == start_info_pfn.0 {
                         child_start_info = new;
                     }
-                }
-
-                // Grant table: replicate, re-pointing grants of private
-                // frames.
-                let mut child_grants = grants.clone_for_child();
-                for (old, new) in &remaps {
-                    child_grants.rewrite_frame(*old, *new);
-                }
-
-                // Event channels: replicate, then rewrite the IDC ports
-                // so the fan-out map reaches this child.
-                let mut child_evtchn = evtchn.clone_for_child();
-                for &port in idc_ports {
-                    child_evtchn
-                        .replace(
-                            port,
-                            Channel::Interdomain {
-                                remote_dom: parent_id,
-                                remote_port: port,
-                            },
-                        )
-                        .expect("IDC port exists in the replicated table");
-                }
-
-                StampedChild {
-                    aux_frames,
-                    vcpus: child_vcpus,
-                    installs,
-                    patches,
-                    child_start_info,
-                    grants: child_grants,
-                    evtchn: child_evtchn,
-                    name: format!("{parent_name}-clone{}", clone_seq + 1 + k as u32),
-                }
-            })
-        };
-
-        // ---- Commit phase: sequential, in child-index order. The spans
-        // and clock charges below reproduce the single-threaded loop
-        // exactly: only span start/end stamps observe the clock, so the
-        // per-page charges may be applied as one aggregate advance.
-        let mut children = Vec::with_capacity(nr as usize);
-        let mut notifications = Vec::with_capacity(nr as usize);
-        for (&child_id, st) in child_ids.iter().zip(stamped) {
-            let child_span = self.trace().span("clone.child");
-            child_span.attr("child", child_id.0);
-            let StampedChild {
-                aux_frames,
-                vcpus: child_vcpus,
-                installs,
-                patches,
-                child_start_info,
-                grants: child_grants,
-                evtchn: child_evtchn,
-                name,
-            } = st;
-
-            {
-                let vspan = self.trace().span("clone.vcpu_copy");
-                vspan.attr("vcpus", child_vcpus.len());
-                self.clock()
-                    .advance(costs.vcpu_init.saturating_mul(child_vcpus.len() as u64));
-            }
-
-            {
-                let pspan = self.trace().span("clone.private_pages");
-                pspan.attr("pages", private_count);
-                for (dst, img) in installs {
-                    self.frames_mut()
-                        .set_content(dst, img)
-                        .expect("freshly allocated frame is writable");
                 }
                 self.clock()
                     .advance(costs.clone_private_page.saturating_mul(private_count));
@@ -554,9 +457,30 @@ impl Hypervisor {
                 );
             }
 
+            // Grant table: replicate, re-pointing grants of private frames.
+            let mut child_grants = grants.clone_for_child();
+            for (old, new) in &remaps {
+                child_grants.rewrite_frame(*old, *new);
+            }
+
+            // Event channels: replicate, then rewrite the IDC ports so the
+            // fan-out map reaches this child.
+            let mut child_evtchn = evtchn.clone_for_child();
+            for &port in &idc_ports {
+                child_evtchn
+                    .replace(
+                        port,
+                        Channel::Interdomain {
+                            remote_dom: parent_id,
+                            remote_port: port,
+                        },
+                    )
+                    .expect("IDC port exists in the replicated table");
+            }
+
             let child = Domain {
                 id: child_id,
-                name,
+                name: format!("{parent_name}-clone{}", clone_seq + 1 + k as u32),
                 parent: Some(parent_id),
                 state: DomainState::PausedAfterClone,
                 vcpus: child_vcpus,
@@ -890,6 +814,23 @@ mod tests {
             },
         );
         assert_eq!(r, Err(HvError::CloneLimit(p)));
+    }
+
+    #[test]
+    fn clone_limit_check_does_not_overflow() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, u32::MAX);
+        do_clone(&mut hv, p, 1);
+        let r = hv.cloneop(
+            p,
+            CloneOp::Clone {
+                target: None,
+                nr_clones: u32::MAX,
+            },
+        );
+        assert_eq!(r, Err(HvError::CloneLimit(p)));
+        assert_eq!(hv.domain(p).unwrap().clones_created, 1);
+        assert_eq!(hv.clone_ring_len(), 1);
     }
 
     #[test]

@@ -151,24 +151,6 @@ pub struct MemoryStats {
     pub xen: u64,
 }
 
-/// Number of deterministic frame-table shards. A pure constant: shard
-/// boundaries depend only on the table size, never on host parallelism,
-/// so sharding is invisible to every virtual-time outcome.
-pub const FRAME_SHARDS: usize = 8;
-
-/// Per-shard incremental owner-class counters. Each machine frame
-/// belongs to exactly one contiguous shard; the global COW/Xen counts
-/// are the sum over shards (checked against a full scan by
-/// [`FrameTable::stats`] in debug builds and by the state auditor's
-/// shard invariant in all builds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// COW frames whose number falls in this shard's range.
-    pub cow: u64,
-    /// Xen-owned frames in this shard's range.
-    pub xen: u64,
-}
-
 /// Outcome of a COW write fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CowResolution {
@@ -185,14 +167,11 @@ pub enum CowResolution {
 pub struct FrameTable {
     frames: Vec<Frame>,
     free_list: Vec<Mfn>,
-    /// Per-shard incremental owner-class counters, maintained on every
-    /// ownership transition so [`FrameTable::stats`] is O(1) (a sum over
-    /// [`FRAME_SHARDS`] constant-size shards).
-    shards: [ShardStats; FRAME_SHARDS],
-    /// Frames per shard: `ceil(total / FRAME_SHARDS)`, so shard `i` owns
-    /// the contiguous range `[i * shard_len, (i + 1) * shard_len)` clamped
-    /// to the table — a pure function of the table size.
-    shard_len: u64,
+    /// Incremental count of [`FrameOwner::Cow`] frames, maintained on every
+    /// ownership transition so [`FrameTable::stats`] is O(1).
+    cow_count: u64,
+    /// Incremental count of [`FrameOwner::Xen`] frames.
+    xen_count: u64,
 }
 
 impl FrameTable {
@@ -204,75 +183,26 @@ impl FrameTable {
         FrameTable {
             frames,
             free_list,
-            shards: [ShardStats::default(); FRAME_SHARDS],
-            shard_len: total.div_ceil(FRAME_SHARDS as u64).max(1),
+            cow_count: 0,
+            xen_count: 0,
         }
-    }
-
-    /// The shard a frame number belongs to. Contiguous ranges: frame
-    /// ownership of shards is a partition of `[0, total)`, so no frame is
-    /// ever accounted by two shards (the auditor's shard invariant checks
-    /// the counters agree with a per-shard scan).
-    pub fn shard_of(&self, mfn: Mfn) -> usize {
-        ((mfn.0 / self.shard_len) as usize).min(FRAME_SHARDS - 1)
-    }
-
-    /// The contiguous frame-number range shard `shard` owns (empty for
-    /// trailing shards of a small table).
-    pub fn shard_range(&self, shard: usize) -> std::ops::Range<u64> {
-        let total = self.total_frames();
-        let start = (shard as u64 * self.shard_len).min(total);
-        let end = ((shard as u64 + 1) * self.shard_len).min(total);
-        start..end
-    }
-
-    /// The per-shard incremental counters (one entry per shard, in shard
-    /// order).
-    pub fn shard_incremental_stats(&self) -> [ShardStats; FRAME_SHARDS] {
-        self.shards
-    }
-
-    /// Recounts every shard's COW/Xen frames with a full scan — the
-    /// oracle the per-shard incremental counters are audited against.
-    pub fn scan_shard_stats(&self) -> [ShardStats; FRAME_SHARDS] {
-        let mut shards = [ShardStats::default(); FRAME_SHARDS];
-        for (i, f) in self.frames.iter().enumerate() {
-            let s = self.shard_of(Mfn(i as u64));
-            match f.owner {
-                FrameOwner::Cow => shards[s].cow += 1,
-                FrameOwner::Xen => shards[s].xen += 1,
-                _ => {}
-            }
-        }
-        shards
     }
 
     /// Adjusts the incremental owner-class counters for one frame moving
     /// from `from` to `to`. Every method that changes a frame's owner must
     /// route the change through here (checked by the `debug_assert` scan in
-    /// [`FrameTable::stats`]). The counter lives in the shard owning `mfn`.
-    fn account_transition(&mut self, mfn: Mfn, from: FrameOwner, to: FrameOwner) {
-        let s = self.shard_of(mfn);
+    /// [`FrameTable::stats`]).
+    fn account_transition(&mut self, from: FrameOwner, to: FrameOwner) {
         match from {
-            FrameOwner::Cow => self.shards[s].cow -= 1,
-            FrameOwner::Xen => self.shards[s].xen -= 1,
+            FrameOwner::Cow => self.cow_count -= 1,
+            FrameOwner::Xen => self.xen_count -= 1,
             FrameOwner::Free | FrameOwner::Dom(_) => {}
         }
         match to {
-            FrameOwner::Cow => self.shards[s].cow += 1,
-            FrameOwner::Xen => self.shards[s].xen += 1,
+            FrameOwner::Cow => self.cow_count += 1,
+            FrameOwner::Xen => self.xen_count += 1,
             FrameOwner::Free | FrameOwner::Dom(_) => {}
         }
-    }
-
-    /// Global COW count: the sum over the (constant number of) shards.
-    fn cow_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.cow).sum()
-    }
-
-    /// Global Xen-owned count, summed over shards.
-    fn xen_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.xen).sum()
     }
 
     fn frame(&self, mfn: Mfn) -> Result<&Frame> {
@@ -309,8 +239,8 @@ impl FrameTable {
         let stats = MemoryStats {
             total: self.total_frames(),
             free: self.free_frames(),
-            cow_shared: self.cow_count(),
-            xen: self.xen_count(),
+            cow_shared: self.cow_count,
+            xen: self.xen_count,
         };
         debug_assert_eq!(
             stats,
@@ -330,8 +260,8 @@ impl FrameTable {
         MemoryStats {
             total: self.total_frames(),
             free: self.free_frames(),
-            cow_shared: self.cow_count(),
-            xen: self.xen_count(),
+            cow_shared: self.cow_count,
+            xen: self.xen_count,
         }
     }
 
@@ -365,7 +295,7 @@ impl FrameTable {
         f.refcount = if matches!(owner, FrameOwner::Cow) { 1 } else { 0 };
         f.writable = true;
         f.content = PageContent::Zero;
-        self.account_transition(mfn, FrameOwner::Free, owner);
+        self.account_transition(FrameOwner::Free, owner);
         Ok(mfn)
     }
 
@@ -415,7 +345,7 @@ impl FrameTable {
         f.writable = false;
         f.content = PageContent::Zero;
         self.free_list.push(mfn);
-        self.account_transition(mfn, expected, FrameOwner::Free);
+        self.account_transition(expected, FrameOwner::Free);
         Ok(())
     }
 
@@ -432,7 +362,7 @@ impl FrameTable {
         f.owner = FrameOwner::Cow;
         f.refcount = sharers;
         f.writable = writable;
-        self.account_transition(mfn, FrameOwner::Dom(from), FrameOwner::Cow);
+        self.account_transition(FrameOwner::Dom(from), FrameOwner::Cow);
         Ok(())
     }
 
@@ -459,7 +389,7 @@ impl FrameTable {
             f.writable = false;
             f.content = PageContent::Zero;
             self.free_list.push(mfn);
-            self.account_transition(mfn, FrameOwner::Cow, FrameOwner::Free);
+            self.account_transition(FrameOwner::Cow, FrameOwner::Free);
         }
         Ok(())
     }
@@ -485,7 +415,7 @@ impl FrameTable {
             f.owner = FrameOwner::Dom(faulter);
             f.refcount = 0;
             f.writable = true;
-            self.account_transition(mfn, FrameOwner::Cow, FrameOwner::Dom(faulter));
+            self.account_transition(FrameOwner::Cow, FrameOwner::Dom(faulter));
             Ok(CowResolution::Transferred)
         } else {
             let content = self.frame(mfn)?.content.clone();
@@ -589,15 +519,13 @@ impl FrameTable {
         f.refcount = (f.refcount as i64 + delta).max(0) as u32;
     }
 
-    /// Test-only fault injection: skews one shard's incremental COW
-    /// counter without touching any frame. Paired `+1`/`-1` calls on two
-    /// different shards keep the *global* sum consistent, so only the
-    /// per-shard audit invariant can see the damage — exactly the blind
-    /// spot the auditor's shard negative test exercises.
+    /// Test-only fault injection: skews the incremental COW counter by
+    /// `delta` without touching any frame, so [`FrameTable::incremental_stats`]
+    /// disagrees with [`FrameTable::scan_stats`] — the drift the
+    /// auditor's counter invariant exists to catch.
     #[doc(hidden)]
-    pub fn corrupt_shard_counter_for_test(&mut self, shard: usize, cow_delta: i64) {
-        let s = &mut self.shards[shard];
-        s.cow = (s.cow as i64 + cow_delta).max(0) as u64;
+    pub fn corrupt_cow_counter_for_test(&mut self, delta: i64) {
+        self.cow_count = (self.cow_count as i64 + delta).max(0) as u64;
     }
 
     /// Transfers exclusive ownership of a frame between domains (used when
@@ -608,7 +536,7 @@ impl FrameTable {
             return Err(HvError::BadOwner(mfn));
         }
         f.owner = to;
-        self.account_transition(mfn, from, to);
+        self.account_transition(from, to);
         Ok(())
     }
 }
@@ -814,65 +742,6 @@ mod tests {
         assert_eq!(ft.stats().cow_shared, 1);
         ft.unshare_drop(b).unwrap();
         assert_eq!(ft.stats().cow_shared, 0);
-    }
-
-    #[test]
-    fn shards_partition_the_frame_space() {
-        for total in [1u64, 7, 8, 9, 64, 1000] {
-            let ft = FrameTable::new(total);
-            let mut covered = 0;
-            let mut next_start = 0;
-            for s in 0..FRAME_SHARDS {
-                let r = ft.shard_range(s);
-                assert!(r.start == next_start || r.is_empty(), "total={total} shard={s}");
-                next_start = r.end;
-                covered += r.end - r.start;
-                for mfn in r.clone() {
-                    assert_eq!(ft.shard_of(Mfn(mfn)), s, "total={total} mfn={mfn}");
-                }
-            }
-            assert_eq!(covered, total, "shard ranges must cover every frame once");
-        }
-    }
-
-    #[test]
-    fn shard_counters_match_scan_after_transitions() {
-        let mut ft = FrameTable::new(64); // shard_len = 8
-        let mut owned = Vec::new();
-        for _ in 0..20 {
-            owned.push(ft.alloc(FrameOwner::Dom(D1)).unwrap());
-        }
-        for &m in &owned[..10] {
-            ft.share_to_cow(m, D1, 2, false).unwrap();
-        }
-        ft.alloc(FrameOwner::Xen).unwrap();
-        ft.cow_fault(owned[0], D2).unwrap();
-        ft.unshare_drop(owned[1]).unwrap();
-        assert_eq!(ft.shard_incremental_stats(), ft.scan_shard_stats());
-        // The global view is the sum over shards.
-        let s = ft.stats();
-        let by_shard: u64 = ft.shard_incremental_stats().iter().map(|s| s.cow).sum();
-        assert_eq!(s.cow_shared, by_shard);
-    }
-
-    #[test]
-    fn shard_corruption_is_visible_to_the_shard_scan_only() {
-        let mut ft = FrameTable::new(64);
-        let a = ft.alloc(FrameOwner::Dom(D1)).unwrap();
-        ft.share_to_cow(a, D1, 2, false).unwrap();
-        // Compensated corruption: global sum unchanged, shards wrong.
-        ft.corrupt_shard_counter_for_test(2, 1);
-        ft.corrupt_shard_counter_for_test(5, -0); // no-op guard
-        ft.corrupt_shard_counter_for_test(0, 0);
-        let inc = ft.shard_incremental_stats();
-        let scan = ft.scan_shard_stats();
-        assert_ne!(inc, scan);
-        assert_eq!(
-            inc.iter().map(|s| s.cow).sum::<u64>(),
-            scan.iter().map(|s| s.cow).sum::<u64>() + 1
-        );
-        ft.corrupt_shard_counter_for_test(2, -1);
-        assert_eq!(ft.shard_incremental_stats(), ft.scan_shard_stats());
     }
 
     #[test]

@@ -45,15 +45,7 @@
 //!     backend entries are legacy destroy behavior pinned by the
 //!     determinism-gated figures), and each device's own invariants
 //!     ([`CloneDevice::audit`](crate::CloneDevice::audit)) hold.
-//! 12. **Frame-table shards vs a per-shard scan.** The frame table keeps
-//!     its COW/Xen counters per deterministic shard; each shard's
-//!     incremental counters must match a fresh recount over exactly that
-//!     shard's frame range, the shard ranges must partition the frame
-//!     space (no frame counted by two shards), and their sum must equal
-//!     the global stats. Catches compensated drift — two shards off in
-//!     opposite directions — that the global check (invariant 2) cannot
-//!     see.
-//! 13. **Scan-replacing indices vs the scans they replaced.** The hot
+//! 12. **Scan-replacing indices vs the scans they replaced.** The hot
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
 //!     hypervisor's referrer index (which domains' tables name which),
@@ -272,54 +264,16 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     report.checks += 1;
     let incremental = hv.frames().incremental_stats();
     let scanned = hv.frames().scan_stats();
-    if incremental != scanned {
-        report.violations.push(AuditViolation {
-            invariant: "counter-drift",
-            detail: format!("incremental stats {incremental:?} != scanned {scanned:?}"),
-        });
-    }
-
-    // 12. Per-shard incremental counters vs a scoped recount, and the
-    // shard ranges partitioning the frame space. The global check above
-    // cannot see compensated drift (two shards off in opposite
-    // directions); this one can.
-    report.checks += 1;
-    let shard_inc = hv.frames().shard_incremental_stats();
-    let shard_scan = hv.frames().scan_shard_stats();
-    for (s, (inc, scan)) in shard_inc.iter().zip(shard_scan.iter()).enumerate() {
+    for (counter, inc, scan) in [
+        ("cow_shared", incremental.cow_shared, scanned.cow_shared),
+        ("xen", incremental.xen, scanned.xen),
+    ] {
         if inc != scan {
             report.violations.push(AuditViolation {
-                invariant: "shard-stats",
-                detail: format!(
-                    "shard {s} (frames {:?}) incremental {inc:?} != scanned {scan:?}",
-                    hv.frames().shard_range(s)
-                ),
+                invariant: "counter-drift",
+                detail: format!("{counter}: incremental {inc} != scanned {scan}"),
             });
         }
-    }
-    let mut expect_start = 0u64;
-    for s in 0..hypervisor::memory::FRAME_SHARDS {
-        let r = hv.frames().shard_range(s);
-        if r.start != expect_start {
-            report.violations.push(AuditViolation {
-                invariant: "shard-stats",
-                detail: format!(
-                    "shard {s} starts at frame {} instead of {expect_start}: \
-                     ranges must partition the frame space",
-                    r.start
-                ),
-            });
-        }
-        expect_start = r.end;
-    }
-    if expect_start != hv.frames().total_frames() {
-        report.violations.push(AuditViolation {
-            invariant: "shard-stats",
-            detail: format!(
-                "shard ranges end at frame {expect_start}, not at the {} total",
-                hv.frames().total_frames()
-            ),
-        });
     }
 
     let total_frames = hv.frames().total_frames();
@@ -683,7 +637,7 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         });
     }
 
-    // 13. Scan-replacing indices vs the scans they replaced: the
+    // 12. Scan-replacing indices vs the scans they replaced: the
     // hypervisor's per-table and referrer indices, the fan-out
     // registry's reverse indices, and the toolstack's name index.
     report.checks += 1;

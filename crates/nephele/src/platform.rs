@@ -200,13 +200,6 @@ pub struct PlatformConfig {
     /// Automatic-audit policy. `None` defers to `NEPHELE_AUDIT` (falling
     /// back to [`AuditMode::Lifecycle`]); `Some` pins it.
     pub audit: Option<AuditMode>,
-    /// Host worker threads for the deterministic fork/join pool used by
-    /// batch cloning (hypervisor stamping and `xencloned` stage-2 plan
-    /// building). `1` (the default) runs everything inline on the calling
-    /// thread — byte-for-byte the historical behavior; any value produces
-    /// identical results, only faster. Overridable at runtime with a
-    /// numeric `NEPHELE_THREADS` value.
-    pub threads: usize,
     /// Per-device-class clone policy handed to `xencloned` (defaults to
     /// cloning every class).
     pub clone_policy: ClonePolicy,
@@ -224,7 +217,6 @@ impl Default for PlatformConfig {
             flightrec_dir: PathBuf::from("results"),
             flightrec_dumps: true,
             audit: None,
-            threads: 1,
             clone_policy: ClonePolicy::all(),
         }
     }
@@ -362,15 +354,6 @@ impl PlatformConfigBuilder {
     /// Pins the automatic-audit policy (overrides `NEPHELE_AUDIT`).
     pub fn audit(mut self, mode: AuditMode) -> Self {
         self.config.audit = Some(mode);
-        self
-    }
-
-    /// Sets the host worker-thread count for the deterministic fork/join
-    /// pool (clamped to at least 1). Results are identical at any value;
-    /// only host wall-clock changes. `NEPHELE_THREADS` overrides this at
-    /// runtime.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
         self
     }
 
@@ -517,19 +500,6 @@ impl Platform {
         xl.attach_trace(trace.clone());
         daemon.attach_trace(trace.clone());
 
-        // `NEPHELE_THREADS=<n>` overrides the configured worker count for
-        // the deterministic fork/join pool. Any value yields identical
-        // results (the pool only parallelizes order-fixed work), so the
-        // override is safe to apply from the environment.
-        let mut threads = config.threads.max(1);
-        if let Ok(v) = std::env::var("NEPHELE_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                threads = n.max(1);
-            }
-        }
-        let pool = sim_core::par::Pool::new(threads).with_seed(config.seed);
-        hv.attach_pool(pool);
-        daemon.attach_pool(pool);
         daemon.start(&mut hv).expect("daemon start on fresh hypervisor");
         daemon.config.policy = config.clone_policy.clone();
 
@@ -1317,8 +1287,7 @@ impl Platform {
     // ------------------------------------------------------------------
 
     /// Takes a point-in-time snapshot of the platform's introspection
-    /// metrics. This is the one-stop replacement for the individual
-    /// deprecated getters.
+    /// metrics.
     pub fn snapshot(&self) -> PlatformSnapshot {
         let mem = self.hv.memory_stats();
         let xs_sharing = self.xs.sharing();
@@ -1342,33 +1311,9 @@ impl Platform {
         }
     }
 
-    /// Free hypervisor-pool memory in bytes (Fig. 5 "Hyp free").
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().hyp_free_bytes")]
-    pub fn hyp_free_bytes(&self) -> u64 {
-        self.snapshot().hyp_free_bytes
-    }
-
-    /// Free Dom0 memory in bytes (Fig. 5 "Dom0 free").
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().dom0_free_bytes")]
-    pub fn dom0_free_bytes(&self) -> u64 {
-        self.snapshot().dom0_free_bytes
-    }
-
-    /// Packets the fabric has routed.
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().packets_routed")]
-    pub fn packets_routed(&self) -> u64 {
-        self.snapshot().packets_routed
-    }
-
     /// Whether a guest slot exists for `dom`.
     pub fn has_guest(&self, dom: DomId) -> bool {
         self.guests.contains_key(&dom.0)
-    }
-
-    /// Number of members in the clone mux.
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().mux_members")]
-    pub fn mux_members(&self) -> usize {
-        self.snapshot().mux_members
     }
 }
 

@@ -11,8 +11,6 @@
 //! * [`costs`] — the single calibrated [`CostModel`] from which every
 //!   modelled operation derives its virtual duration.
 //! * [`events`] — a deterministic discrete-event queue.
-//! * [`par`] — a deterministic fork/join [`Pool`]: seeded work splitting
-//!   and ordered reduction, so host parallelism never changes a result.
 //! * [`rng`] — a small deterministic PRNG ([`SplitMix64`]) so the lower
 //!   layers do not need external crates.
 //! * [`stats`] — streaming statistics and series recording for experiments.
@@ -35,7 +33,6 @@
 //! [`SimDuration`]: time::SimDuration
 //! [`Clock`]: clock::Clock
 //! [`CostModel`]: costs::CostModel
-//! [`Pool`]: par::Pool
 //! [`SplitMix64`]: rng::SplitMix64
 
 pub mod clock;
@@ -44,7 +41,6 @@ pub mod events;
 pub mod flightrec;
 pub mod hist;
 pub mod ids;
-pub mod par;
 pub mod rng;
 pub mod rollup;
 pub mod stats;
@@ -58,7 +54,6 @@ pub use events::EventQueue;
 pub use flightrec::{FlightEvent, FlightRecorder, DEFAULT_FLIGHTREC_CAPACITY};
 pub use hist::Histogram;
 pub use ids::{DomId, Mfn, Pfn, PAGE_SIZE};
-pub use par::Pool;
 pub use rng::SplitMix64;
 pub use rollup::{FamilyRegistry, FamilyRow, FamilyStats};
 pub use time::{SimDuration, SimTime};

@@ -13,7 +13,7 @@
 //!
 //! [`Timeline::csv`] renders the ring as a flat table; because everything
 //! is keyed by virtual time and folded in program order, the bytes are
-//! identical across same-seed runs at any `NEPHELE_THREADS` width.
+//! identical across same-seed runs.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -31,7 +31,7 @@
 //! [`timeline_csv`](TraceSink::timeline_csv),
 //! [`metrics_text`](TraceSink::metrics_text) and
 //! [`family_rollup_csv`](TraceSink::family_rollup_csv) are byte-identical
-//! across modes, seeds and `NEPHELE_THREADS` widths.
+//! across modes and same-seed runs.
 //!
 //! Exporters:
 //!
@@ -937,7 +937,7 @@ impl TraceSink {
     /// totals, last gauge values per domain, explicit latency histograms
     /// and span-duration histograms as summaries (ns quantiles), and span
     /// totals. Metric names are `nephele_`-prefixed with `.` mapped to
-    /// `_`. Identical across modes, seeds and thread widths.
+    /// `_`. Identical across modes and same-seed runs.
     pub fn metrics_text(&self) -> String {
         let mut out = String::new();
         for (name, total) in self.counters() {

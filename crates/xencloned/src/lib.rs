@@ -98,15 +98,6 @@ pub struct XenclonedConfig {
     /// disables the network class: "the I/O cloning is optimized to clone
     /// only the devices that are needed by the clones").
     pub policy: ClonePolicy,
-    /// Clone console devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_console: bool,
-    /// Clone network devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_network: bool,
-    /// Clone 9pfs devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_9pfs: bool,
     /// Restrict the second stage to the mandatory operations only
     /// (toolstack introduction and naming) — the configuration used for
     /// the memory-scaling experiment of §6.2 / Fig. 6.
@@ -114,32 +105,19 @@ pub struct XenclonedConfig {
 }
 
 impl Default for XenclonedConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         XenclonedConfig {
             use_xs_clone: true,
             policy: ClonePolicy::all(),
-            clone_console: true,
-            clone_network: true,
-            clone_9pfs: true,
             minimal: false,
         }
     }
 }
 
 impl XenclonedConfig {
-    /// Whether the second stage clones devices of `class`: the typed
-    /// [`ClonePolicy`] merged with the deprecated per-class booleans (a
-    /// class is cloned only if neither disables it).
-    #[allow(deprecated)]
+    /// Whether the second stage clones devices of `class`.
     pub fn device_enabled(&self, class: DeviceClass) -> bool {
-        let legacy = match class {
-            DeviceClass::Console => self.clone_console,
-            DeviceClass::Vif => self.clone_network,
-            DeviceClass::P9fs => self.clone_9pfs,
-            _ => true,
-        };
-        legacy && self.policy.clones(class)
+        self.policy.clones(class)
     }
 }
 
@@ -156,26 +134,6 @@ pub struct CompletedClone {
     pub ifaces: Vec<IfaceId>,
 }
 
-/// A precomputed per-child second-stage plan: the parts of a child's
-/// introduction that are a pure function of its notification, the parent
-/// name and the child's per-parent sequence number. Built on the
-/// fork/join pool for a whole notification batch; committed per child in
-/// ring order, where the sequential path's state updates and virtual-time
-/// charges happen unchanged.
-#[derive(Debug)]
-struct Stage2Plan {
-    /// Planned per-parent sequence number (the commit loop re-derives it
-    /// from the live counter and asserts agreement).
-    seq: u64,
-    /// The child's generated unique name.
-    name: String,
-    /// The child's Xenstore home path.
-    home: String,
-    /// The child's direct Xenstore writes, buffered as `(path, value)`
-    /// pairs and committed in deterministic (ring) order.
-    writes: Vec<(String, String)>,
-}
-
 /// The `xencloned` daemon state.
 #[derive(Debug)]
 pub struct Xencloned {
@@ -190,9 +148,6 @@ pub struct Xencloned {
     clone_seq: HashMap<u32, u64>,
     clones_completed: u64,
     trace: TraceSink,
-    /// Deterministic fork/join pool for batch plan building
-    /// (single-threaded by default; see [`Xencloned::attach_pool`]).
-    pool: sim_core::par::Pool,
 }
 
 impl Xencloned {
@@ -207,7 +162,6 @@ impl Xencloned {
             clone_seq: HashMap::new(),
             clones_completed: 0,
             trace: TraceSink::default(),
-            pool: sim_core::par::Pool::single(),
         }
     }
 
@@ -215,14 +169,6 @@ impl Xencloned {
     /// parent-cache counters are recorded into it.
     pub fn attach_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Attaches the deterministic fork/join pool used to build per-child
-    /// stage-2 plans for a whole notification batch (single-threaded by
-    /// default, which keeps every code path byte-identical to the
-    /// pre-pool behavior).
-    pub fn attach_pool(&mut self, pool: sim_core::par::Pool) {
-        self.pool = pool;
     }
 
     /// The attached trace sink.
@@ -254,61 +200,20 @@ impl Xencloned {
         xl: &mut Xl,
         mux: Option<&mut (dyn CloneMux + '_)>,
     ) -> Result<Vec<CompletedClone>> {
-        // ---- Plan phase: read the pending notifications without popping,
-        // so a failing commit leaves the unprocessed tail in the ring
-        // exactly as the sequential loop did. Per-parent sequence numbers
-        // are pre-walked on the calling thread (they are order-dependent);
-        // everything else in a plan — the child's name, home path and
-        // buffered direct writes — is a pure function of its inputs, so a
-        // whole family batch fans out across the pool. Plan building
-        // charges no virtual time and mutates nothing; all clock and
-        // state effects happen in the ordered commit below, byte-identical
-        // at any thread count (the default pool runs the map inline).
-        let batch: Vec<CloneNotification> = hv.clone_ring_pending().copied().collect();
-        let mut next_seq: HashMap<u32, u64> = HashMap::new();
-        let inputs: Vec<(CloneNotification, String, u64)> = batch
-            .into_iter()
-            .map(|n| {
-                let parent = n.parent.0;
-                let pname = self
-                    .parent_names
-                    .get(&parent)
-                    .cloned()
-                    .or_else(|| xs.peek(&format!("/local/domain/{parent}/name")))
-                    .unwrap_or_else(|| format!("dom{parent}"));
-                let seq = next_seq
-                    .entry(parent)
-                    .or_insert_with(|| self.clone_seq.get(&parent).copied().unwrap_or(0));
-                *seq += 1;
-                (n, pname, *seq)
-            })
-            .collect();
-        let plans: Vec<(CloneNotification, Stage2Plan)> =
-            self.pool.map(inputs, |_, (n, pname, seq)| {
-                let name = format!("{pname}-c{seq}");
-                let home = format!("/local/domain/{}", n.child.0);
-                let writes = vec![
-                    (format!("{home}/name"), name.clone()),
-                    (format!("{home}/domid"), n.child.0.to_string()),
-                ];
-                (n, Stage2Plan { seq, name, home, writes })
-            });
-
-        // ---- Commit phase: sequential, in ring order.
+        // Pop one notification at a time, in ring order: a failing child
+        // leaves the unprocessed tail queued for the next call.
         let mut done = Vec::new();
         let mut mux = mux;
-        for (n, plan) in plans {
-            let popped = hv.clone_ring_pop().expect("planned notification still queued");
-            debug_assert_eq!(popped, n, "ring order is fixed while the daemon runs");
+        while let Some(n) = hv.clone_ring_pop() {
             let start = self.clock.now();
-            match self.handle_one(hv, xs, dm, udev, xl, &mut mux, n, plan) {
+            match self.handle_one(hv, xs, dm, udev, xl, &mut mux, n) {
                 Ok(c) => {
                     self.trace
                         .record_ns("clone.stage2", self.clock.now().since(start).as_ns());
                     done.push(c);
                 }
                 Err(e) => {
-                    self.trace.count_dom("clone.fail", popped.parent, 1);
+                    self.trace.count_dom("clone.fail", n.parent, 1);
                     return Err(e);
                 }
             }
@@ -326,7 +231,6 @@ impl Xencloned {
         xl: &mut Xl,
         mux: &mut Option<&mut (dyn CloneMux + '_)>,
         n: CloneNotification,
-        plan: Stage2Plan,
     ) -> Result<CompletedClone> {
         let CloneNotification { parent, child, .. } = n;
         let span = self.trace.span("xencloned.stage2");
@@ -350,32 +254,20 @@ impl Xencloned {
         // Introduce the child with the parent id (step 2.1).
         xs.introduce_domain(child, Some(parent))?;
 
-        // Unique name — no validation scan needed. The plan precomputed
-        // it; advance the live counter here so daemon state (and any
-        // failure path) evolves exactly as the sequential loop's did.
-        {
-            let seq = self.clone_seq.entry(parent.0).or_insert(0);
-            *seq += 1;
-            debug_assert_eq!(*seq, plan.seq, "plan must agree with commit-order sequence");
-        }
-        let Stage2Plan { name, home, writes, .. } = plan;
-        debug_assert_eq!(
-            name,
-            format!(
-                "{}-c{}",
-                self.parent_names
-                    .get(&parent.0)
-                    .cloned()
-                    .unwrap_or_else(|| format!("dom{}", parent.0)),
-                self.clone_seq[&parent.0]
-            ),
-            "planned name must match the sequential derivation"
+        // Generate a unique name — no validation scan needed.
+        let seq = self.clone_seq.entry(parent.0).or_insert(0);
+        *seq += 1;
+        let name = format!(
+            "{}-c{}",
+            self.parent_names
+                .get(&parent.0)
+                .cloned()
+                .unwrap_or_else(|| format!("dom{}", parent.0)),
+            seq
         );
-        // The child's buffered direct writes, committed in ring order —
-        // identical charge sequence to the historical inline writes.
-        for (path, value) in &writes {
-            xs.write(DomId::DOM0, path, value)?;
-        }
+        let home = format!("/local/domain/{}", child.0);
+        xs.write(DomId::DOM0, &format!("{home}/name"), &name)?;
+        xs.write(DomId::DOM0, &format!("{home}/domid"), &child.0.to_string())?;
 
         let mut ifaces = Vec::new();
         if !self.config.minimal {
@@ -640,16 +532,57 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_class_booleans_still_disable_classes() {
+    fn failing_child_leaves_the_ring_tail_queued() {
         let mut w = world();
+        w.daemon.attach_trace(TraceSink::new(
+            w.clock.clone(),
+            &sim_core::TraceConfig::enabled(),
+        ));
         let parent = boot_parent(&mut w);
-        w.daemon.config.clone_network = false;
-        assert!(!w.daemon.config.device_enabled(DeviceClass::Vif));
-        assert!(w.daemon.config.device_enabled(DeviceClass::Console));
-        let c = fork(&mut w, parent, None);
-        assert!(w.dm.vif(c.child, 0).is_none(), "legacy boolean still honoured");
-        assert!(w.dm.console_attached(c.child));
+        let kids = match w
+            .hv
+            .cloneop(
+                parent,
+                CloneOp::Clone {
+                    target: None,
+                    nr_clones: 3,
+                },
+            )
+            .unwrap()
+        {
+            hypervisor::cloneop::CloneOpResult::Cloned(c) => c,
+            other => panic!("unexpected {other:?}"),
+        };
+        // The second child vanishes between the stages, so its second
+        // stage cannot complete.
+        w.hv.destroy_domain(kids[1]).unwrap();
+
+        let r = w.daemon.handle_pending(
+            &mut w.hv,
+            &mut w.xs,
+            &mut w.dm,
+            &mut w.udev,
+            &mut w.xl,
+            None,
+        );
+        assert!(r.is_err(), "stage 2 of the vanished child must fail: {r:?}");
+        assert_eq!(
+            w.daemon.clones_completed(),
+            1,
+            "only the first child completed"
+        );
+        assert_ne!(
+            w.hv.domain(kids[0]).unwrap().state,
+            DomainState::PausedAfterClone
+        );
+        // Two entries were popped; the third is still queued, untouched.
+        assert_eq!(w.hv.clone_ring_len(), 1);
+        assert_eq!(w.hv.clone_ring_pending().next().unwrap().child, kids[2]);
+        assert_eq!(
+            w.hv.domain(kids[2]).unwrap().state,
+            DomainState::PausedAfterClone
+        );
+        assert_eq!(w.daemon.trace().counter_total("clone.fail"), 1);
     }
 
     #[test]

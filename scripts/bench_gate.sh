@@ -13,16 +13,26 @@
 #   NEPHELE_BENCH_TOL   regression tolerance as a ratio of the baseline
 #                       median (default 8.0). A metric fails the gate
 #                       when current_median > TOL * baseline_median.
+#   NEPHELE_BENCH_SINCE path of a marker file; when set, every gated
+#                       suite result must be newer than it (scripts/verify.sh
+#                       touches one at start, so a suite it did not re-run
+#                       fails instead of passing on stale committed JSON).
 #
 # Exit status: 0 when every metric is within tolerance, 1 on any
 # regression, on a suite or metric present in the baselines but missing
-# from the results, or on a malformed suite file.
+# from the results, on a suite older than NEPHELE_BENCH_SINCE, or on a
+# malformed suite file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TOL="${NEPHELE_BENCH_TOL:-8.0}"
 RESULTS_DIR="${1:-results}"
 BASELINE_DIR="scripts/bench_baselines"
+SINCE="${NEPHELE_BENCH_SINCE:-}"
+if [[ -n "$SINCE" && ! -f "$SINCE" ]]; then
+  echo "bench_gate: NEPHELE_BENCH_SINCE marker $SINCE does not exist"
+  exit 1
+fi
 
 # Emits "group/name median_ns" per record. The suite files put one
 # record per line exactly so that this kind of tooling never needs a
@@ -37,6 +47,11 @@ for base in "$BASELINE_DIR"/BENCH_*.json; do
   cur="$RESULTS_DIR/$suite"
   if [[ ! -f "$cur" ]]; then
     echo "bench_gate: $suite: MISSING from $RESULTS_DIR (baseline exists)"
+    status=1
+    continue
+  fi
+  if [[ -n "$SINCE" && ! "$cur" -nt "$SINCE" ]]; then
+    echo "bench_gate: $suite: STALE: $cur predates this run (re-run its bench)"
     status=1
     continue
   fi

@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Start-of-run marker: the bench gate below rejects any gated suite
+# result older than this file, so it can only ever compare medians this
+# run measured, never a stale committed JSON.
+bench_marker="$(mktemp)"
+trap 'rm -f "$bench_marker"' EXIT
+
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
@@ -23,9 +29,6 @@ cargo test -q --offline --test trace_spans
 
 echo "== cargo test -q -p hypervisor --offline --test prop_clone_batch (batched clone equivalence + atomicity)"
 cargo test -q -p hypervisor --offline --test prop_clone_batch
-
-echo "== cargo test -q --offline --test prop_parallel_equiv (MT-vs-ST bit-identical platforms)"
-cargo test -q --offline --test prop_parallel_equiv
 
 echo "== cargo test -q --offline --test prop_trace_modes (streaming vs post-hoc aggregation equivalence)"
 cargo test -q --offline --test prop_trace_modes
@@ -45,8 +48,17 @@ cargo bench -p bench --bench clone_fanout --offline
 echo "== cargo bench -p bench --bench clone_reset --offline (O(dirty) checkpoint restore)"
 cargo bench -p bench --bench clone_reset --offline
 
-echo "== cargo bench -p bench --bench parallel_stamp --offline (fork/join pool on batched stamping)"
-cargo bench -p bench --bench parallel_stamp --offline
+echo "== cargo bench -p bench --bench clone_boot --offline (boot vs clone latency)"
+cargo bench -p bench --bench clone_boot --offline
+
+echo "== cargo bench -p bench --bench memory_cow --offline (COW fault and frame-table paths)"
+cargo bench -p bench --bench memory_cow --offline
+
+echo "== cargo bench -p bench --bench net_and_alloc --offline (netmux and allocator paths)"
+cargo bench -p bench --bench net_and_alloc --offline
+
+echo "== cargo bench -p bench --bench xenstore_ops --offline (Xenstore request paths)"
+cargo bench -p bench --bench xenstore_ops --offline
 
 echo "== cargo bench -p bench --bench trace_overhead --offline (sink self-overhead per TraceMode)"
 cargo bench -p bench --bench trace_overhead --offline
@@ -105,35 +117,6 @@ awk -v off="$(trace_median mixed_off)" \
     }
 }'
 
-echo "== parallel stamping speedup gate (fanout64: 4 threads vs 1 thread)"
-# The tentpole win: stamping 64 children's private pages on 4 workers
-# must beat the single-threaded pool by 2x. Wall-clock parallelism only
-# exists where the host has the cores to express it, so on smaller
-# hosts the ratio gate is skipped — determinism (the real contract) is
-# enforced unconditionally by prop_parallel_equiv and the figure gates.
-stamp_median() {
-    sed -n 's/.*"group": "parallel_stamp", "name": "'"$2"'".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' "$1"
-}
-host_cpus="$(nproc)"
-awk -v st="$(stamp_median results/BENCH_parallel_stamp.json fanout64_t1)" \
-    -v mt="$(stamp_median results/BENCH_parallel_stamp.json fanout64_t4)" \
-    -v cpus="$host_cpus" 'BEGIN {
-    if (st + 0 <= 0 || mt + 0 <= 0) {
-        print "verify.sh: missing parallel_stamp medians (t1=" st ", t4=" mt ")"
-        exit 1
-    }
-    ratio = st / mt
-    printf "   fanout64 median %.0f ns at 1 thread vs %.0f ns at 4 (%.2fx on %d CPU(s))\n", st, mt, ratio, cpus
-    if (cpus < 4) {
-        print "   host has fewer than 4 CPUs: wall-clock ratio gate skipped"
-        exit 0
-    }
-    if (ratio < 2.0) {
-        print "verify.sh: parallel stamping speedup " ratio "x is below the 2x gate"
-        exit 1
-    }
-}'
-
 echo "== clone_reset speedup gate (>= 5x vs the seeded pre-overlay baseline)"
 # The general bench gate only catches regressions; this one asserts the
 # tentpole win itself: restoring 16 dirty pages in a 4096-page clone
@@ -158,8 +141,8 @@ awk -v base="$(reset_median scripts/bench_baselines/BENCH_clone_reset.json)" \
 echo "== cargo check with deprecated APIs denied (no internal callers of deprecated getters or clone shims)"
 RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets --offline
 
-echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
-scripts/bench_gate.sh
+echo "== scripts/bench_gate.sh (this run's medians vs checked-in baselines)"
+NEPHELE_BENCH_SINCE="$bench_marker" scripts/bench_gate.sh
 
 echo "== scripts/bench_gate.sh scripts/fixtures/regressed (doctored fixture must fail the gate)"
 if scripts/bench_gate.sh scripts/fixtures/regressed >/dev/null 2>&1; then
@@ -174,23 +157,21 @@ echo "== figure determinism gate (fig4/fig5/fig6/fig7/fig9 CSVs must be byte-ide
 # fig4/fig7 embed span aggregates, so they reproduce only with tracing
 # enabled; fig5/fig6/fig9 run without it.
 detgate() {
-    local fig="$1" trace="$2" threads="${3:-1}" out
+    local fig="$1" trace="$2" out
     out="$(mktemp)"
     if [[ "$trace" == trace ]]; then
-        NEPHELE_THREADS="$threads" NEPHELE_TRACE=1 \
-            cargo run -q -p bench --release --offline --bin "$fig" > "$out"
+        NEPHELE_TRACE=1 cargo run -q -p bench --release --offline --bin "$fig" > "$out"
     else
-        NEPHELE_THREADS="$threads" \
-            cargo run -q -p bench --release --offline --bin "$fig" > "$out"
+        cargo run -q -p bench --release --offline --bin "$fig" > "$out"
     fi
     if ! diff -q "results/$fig.csv" "$out" >/dev/null; then
-        echo "verify.sh: $fig.csv drifted from the committed results (threads=$threads):"
+        echo "verify.sh: $fig.csv drifted from the committed results:"
         diff "results/$fig.csv" "$out" | head -20
         rm -f "$out"
         exit 1
     fi
     rm -f "$out"
-    echo "   $fig.csv reproduced byte-identical (threads=$threads)"
+    echo "   $fig.csv reproduced byte-identical"
     # Traced runs also regenerate the streaming exports in place
     # (timeline slices, family rollups, Prometheus exposition); any
     # drift from the committed copies fails the gate.
@@ -202,12 +183,12 @@ detgate() {
                 exit 1
             fi
             if ! git diff --quiet -- "$f"; then
-                echo "verify.sh: $f drifted from the committed streaming export (threads=$threads):"
+                echo "verify.sh: $f drifted from the committed streaming export:"
                 git diff -- "$f" | head -20
                 exit 1
             fi
         done
-        echo "   $fig streaming exports reproduced byte-identical (threads=$threads)"
+        echo "   $fig streaming exports reproduced byte-identical"
     fi
 }
 detgate fig4 trace
@@ -216,17 +197,6 @@ detgate fig6 notrace
 detgate fig7 trace
 detgate fig9 notrace
 detgate fig10scale notrace
-
-echo "== figure determinism gate under NEPHELE_THREADS=4 (host parallelism must be invisible)"
-# The same figures, re-run with the fork/join pool at 4 workers: every
-# byte of every virtual-time CSV must be unchanged, or the parallel
-# stamping leaked host scheduling into simulated results.
-detgate fig4 trace 4
-detgate fig5 notrace 4
-detgate fig6 notrace 4
-detgate fig7 trace 4
-detgate fig9 notrace 4
-detgate fig10scale notrace 4
 
 echo "== scale100k (10^5 concurrently live clones, churn, and policy replay must complete)"
 # The acceptance run for the density work: ramping to 100 000 live

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use nephele::hypervisor::cloneop::CloneOp;
-use nephele::hypervisor::memory::{FrameOwner, FRAME_SHARDS};
+use nephele::hypervisor::memory::FrameOwner;
 use nephele::sim_core::{DomId, Pfn};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, Platform, PlatformConfig};
@@ -202,12 +202,12 @@ fn audit_hook_panics_on_corruption_at_next_op() {
     assert!(msg.contains("frame-refcount"), "panic names the invariant: {msg}");
 }
 
-/// Two shard counters corrupted in opposite directions still sum to the
-/// correct global totals, so the global counter cross-check (invariant 2)
-/// stays green — only the per-shard recount (invariant 12) can see the
-/// drift, and its report must name both shards.
+/// A COW counter that drifts from the frames it counts leaves every
+/// per-frame check green (no frame or p2m slot changes), so only the
+/// incremental-vs-scan cross-check (invariant 2) can catch it — and the
+/// report must name the drifting counter.
 #[test]
-fn compensated_shard_drift_is_detected_by_the_shard_scan_only() {
+fn cow_counter_drift_is_detected_and_named() {
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(256)
@@ -215,42 +215,29 @@ fn compensated_shard_drift_is_detected_by_the_shard_scan_only() {
             .flightrec_dir("target/test-flightrec")
             .build(),
     );
-    let img = KernelImage::minios("shards");
-    let parent = p.launch_plain(&guest_cfg("shards"), &img).expect("boot");
+    let img = KernelImage::minios("drift");
+    let parent = p.launch_plain(&guest_cfg("drift"), &img).expect("boot");
     p.clone_domain(parent, 2).expect("clone");
     assert!(p.audit().is_clean(), "pre-corruption state must be clean");
 
-    // Move one COW count from a shard that has some to its neighbour.
-    let scan = p.hv.frames().scan_shard_stats();
-    let donor = scan
-        .iter()
-        .position(|s| s.cow > 0)
-        .expect("a clone leaves COW frames behind");
-    let receiver = (donor + 1) % FRAME_SHARDS;
-    p.hv.frames_mut().corrupt_shard_counter_for_test(receiver, 1);
-    p.hv.frames_mut().corrupt_shard_counter_for_test(donor, -1);
-
-    // The drift is compensated: the global totals still agree, so the
-    // whole-table counter check cannot fire.
-    assert_eq!(p.hv.frames().incremental_stats(), p.hv.frames().scan_stats());
-
+    p.hv.frames_mut().corrupt_cow_counter_for_test(1);
     let report = p.audit();
-    assert!(!report.is_clean(), "compensated drift must fail the audit");
+    assert!(!report.is_clean(), "counter drift must fail the audit");
     assert!(
-        report.violations.iter().all(|v| v.invariant == "shard-stats"),
-        "only the shard invariant can see compensated drift:\n{report}"
+        report
+            .violations
+            .iter()
+            .all(|v| v.invariant == "counter-drift"),
+        "only the counter invariant can see the drift:\n{report}"
     );
-    assert_eq!(report.violations.len(), 2, "both shards flagged:\n{report}");
-    for s in [donor, receiver] {
-        assert!(
-            report.violations.iter().any(|v| v.detail.contains(&format!("shard {s} "))),
-            "violation must name shard {s}:\n{report}"
-        );
-    }
+    assert_eq!(report.violations.len(), 1, "one counter drifted:\n{report}");
+    assert!(
+        report.violations[0].detail.contains("cow_shared"),
+        "violation must name the drifting counter:\n{report}"
+    );
 
     // Undoing the corruption brings the audit back to clean.
-    p.hv.frames_mut().corrupt_shard_counter_for_test(receiver, -1);
-    p.hv.frames_mut().corrupt_shard_counter_for_test(donor, 1);
+    p.hv.frames_mut().corrupt_cow_counter_for_test(-1);
     assert!(p.audit().is_clean());
 }
 
@@ -359,7 +346,7 @@ fn name_ops_gen() -> impl Gen<Value = Vec<NameOp>> {
 /// referrer and fan-out indices) must equal the scans they replaced
 /// after any random create/clone/destroy/rename tape — checked both
 /// directly and through the full audit (which runs the same comparison
-/// as invariant 13, at every op under `AuditMode::EveryOp`).
+/// as invariant 12, at every op under `AuditMode::EveryOp`).
 #[test]
 fn indices_match_scans_after_random_name_lifecycle_tapes() {
     let img = KernelImage::minios("indexed");

@@ -6,9 +6,8 @@
 //! the same histograms, the same family rollups, and byte-identical
 //! `timeline_csv()` / `metrics_text()` exports.
 //!
-//! The same exports must also be invariant under the fork/join pool
-//! width and under a same-seed rerun — the determinism contract every
-//! figure gate depends on.
+//! The same exports must also be invariant under a same-seed rerun — the
+//! determinism contract every figure gate depends on.
 
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::sim_core::{DomId, Pfn, TraceConfig, TraceMode, PAGE_SIZE};
@@ -52,7 +51,7 @@ fn ops_gen() -> impl Gen<Value = Vec<Op>> {
     )
 }
 
-/// Everything the two modes (and every thread width) must agree on.
+/// Everything the two modes must agree on.
 struct Exports {
     span_aggregates: String,
     histograms: String,
@@ -61,12 +60,11 @@ struct Exports {
     families: String,
 }
 
-fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
+fn run_tape(mode: TraceMode, ops: &[Op]) -> Exports {
     let img = KernelImage::minios("traceprop");
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(64)
-            .threads(threads)
             // No counter-sample cap: Full must retain every raw sample so
             // its post-hoc aggregation covers the same events Aggregate
             // folded in streaming.
@@ -125,13 +123,13 @@ fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
 }
 
 /// Aggregate's streaming fold must equal Full's retain-then-aggregate on
-/// every export, at every thread width, reproducibly.
+/// every export, reproducibly.
 #[test]
 fn streaming_aggregation_matches_full_mode_post_hoc() {
     check(10, |g| {
         let ops = g.draw(&ops_gen());
-        let full = run_tape(1, TraceMode::Full, &ops);
-        let agg = run_tape(1, TraceMode::Aggregate, &ops);
+        let full = run_tape(TraceMode::Full, &ops);
+        let agg = run_tape(TraceMode::Aggregate, &ops);
         assert_eq!(
             full.span_aggregates, agg.span_aggregates,
             "span aggregates diverge between modes for {ops:?}"
@@ -147,25 +145,8 @@ fn streaming_aggregation_matches_full_mode_post_hoc() {
             "family rollups diverge between modes for {ops:?}"
         );
 
-        // Thread width and a same-seed rerun must both be invisible.
-        for threads in [4usize] {
-            for mode in [TraceMode::Full, TraceMode::Aggregate] {
-                let wide = run_tape(threads, mode, &ops);
-                assert_eq!(
-                    agg.timeline, wide.timeline,
-                    "timeline diverges at threads={threads} mode={mode:?} for {ops:?}"
-                );
-                assert_eq!(
-                    agg.metrics, wide.metrics,
-                    "metrics diverge at threads={threads} mode={mode:?} for {ops:?}"
-                );
-                assert_eq!(
-                    agg.families, wide.families,
-                    "families diverge at threads={threads} mode={mode:?} for {ops:?}"
-                );
-            }
-        }
-        let rerun = run_tape(1, TraceMode::Aggregate, &ops);
+        // A same-seed rerun must be invisible.
+        let rerun = run_tape(TraceMode::Aggregate, &ops);
         assert_eq!(agg.timeline, rerun.timeline, "same-seed rerun drifted for {ops:?}");
         assert_eq!(agg.metrics, rerun.metrics, "same-seed rerun drifted for {ops:?}");
     });
