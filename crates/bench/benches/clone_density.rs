@@ -19,7 +19,7 @@ use testkit::bench::Bench;
 
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{AuditMode, MuxKind, Platform, PlatformConfig, TraceConfig};
+use nephele::{AuditMode, MuxKind, Platform, PlatformConfig};
 
 /// Clones per timed batch (kept small so the batch itself does not
 /// dominate; the point is the density of the surrounding pool).
@@ -34,7 +34,6 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
             .ring_capacity(1_024)
             .mux(MuxKind::None)
             .seed(0xd_e2_51_7e)
-            .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),
     );

@@ -16,7 +16,7 @@ use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{MuxKind, Platform, PlatformConfig, TraceSink};
 use sim_core::stats::Series;
 
-use crate::support::trace_config_from_env;
+use crate::support::trace_mode_from_env;
 
 /// The allocation sizes of the figure's x-axis (MiB).
 pub const SIZES_MIB: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -57,7 +57,7 @@ fn measure_clone(size_mib: u64) -> (f64, f64, f64, TraceSink) {
             // Headroom for the VM plus its clones' private memory.
             .guest_pool_mib((size_mib + 64).next_power_of_two().max(512) + 1024)
             .mux(MuxKind::None)
-            .tracing(trace_config_from_env())
+            .trace_mode(trace_mode_from_env())
             .build(),
     );
     // Only the mandatory second-stage operations (§6.2).

@@ -140,13 +140,13 @@ pub fn traced_worker_family() -> nephele::TraceSink {
     use apps::UdpEchoApp;
     use nephele::{MuxKind, Platform, PlatformConfig};
 
-    use crate::support::{trace_config_from_env, udp_guest_cfg, udp_image};
+    use crate::support::{trace_mode_from_env, udp_guest_cfg, udp_image};
 
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(512)
             .mux(MuxKind::Bond)
-            .tracing(trace_config_from_env())
+            .trace_mode(trace_mode_from_env())
             .build(),
     );
     let cfg = udp_guest_cfg("worker", 8);

@@ -24,7 +24,7 @@ use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{ClonePolicy, DeviceClass, MuxKind, Platform, PlatformConfig, TraceSink};
 use sim_core::stats::Series;
 
-use crate::support::trace_config_from_env;
+use crate::support::trace_mode_from_env;
 
 /// Key counts on the figure's x-axis.
 pub const KEY_COUNTS: &[u64] = &[0, 1, 10, 100, 1000, 10_000, 100_000, 1_000_000];
@@ -88,7 +88,7 @@ fn measure_clone(keys: u64) -> (f64, f64, f64, TraceSink) {
         PlatformConfig::builder()
             .guest_pool_mib(2048)
             .mux(MuxKind::None)
-            .tracing(trace_config_from_env())
+            .trace_mode(trace_mode_from_env())
             .build(),
     );
     p.daemon.config.policy = ClonePolicy::all().set(DeviceClass::Vif, false); // §7.1 optimization

@@ -10,7 +10,7 @@ use fuzz::{run_campaign, FuzzConfig, FuzzMode, FuzzReport, FuzzTarget};
 use nephele::sim_core::SimDuration;
 use sim_core::stats::Series;
 
-use crate::support::trace_config_from_env;
+use crate::support::trace_mode_from_env;
 
 /// The labelled curves of the figure.
 pub const CURVES: &[(&str, FuzzMode, FuzzTarget)] = &[
@@ -33,7 +33,7 @@ pub fn run(secs: u64) -> (Series, Vec<(&'static str, FuzzReport)>) {
             target: *target,
             duration: SimDuration::from_secs(secs),
             seed: 0xF19,
-            tracing: trace_config_from_env(),
+            tracing: trace_mode_from_env(),
         });
         reports.push((*label, report));
     }

@@ -4,25 +4,28 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{Platform, PlatformConfig, TraceConfig, TraceSink};
+use nephele::{Platform, PlatformConfig, TraceMode, TraceSink};
 
 /// The service IP every UDP-server family shares.
 pub const UDP_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
-/// The tracing knob for the figure experiments: opt in by setting the
-/// `NEPHELE_TRACE` environment variable to anything but `0` or the empty
-/// string. Off by default so the benchmark numbers stay untouched.
-pub fn trace_config_from_env() -> TraceConfig {
+/// The trace mode for the figure experiments, from the `NEPHELE_TRACE`
+/// environment variable: `off`/`0`, `full`/`1` or `aggregate` (see
+/// [`TraceMode::parse`]; any other value panics). Off when unset or empty,
+/// so the benchmark numbers stay untouched.
+pub fn trace_mode_from_env() -> TraceMode {
     match std::env::var("NEPHELE_TRACE") {
-        Ok(v) if !v.is_empty() && v != "0" => TraceConfig::enabled(),
-        _ => TraceConfig::default(),
+        Ok(v) if !v.trim().is_empty() => TraceMode::parse(v.trim()).unwrap_or_else(|| {
+            panic!("NEPHELE_TRACE={v:?}: expected off|0|none, full|1|on or aggregate|agg")
+        }),
+        _ => TraceMode::Off,
     }
 }
 
 /// Builds the paper's Fig. 4/5 machine: 12 GiB guest pool, 4 cores.
-/// Tracing follows `NEPHELE_TRACE` (see [`trace_config_from_env`]).
+/// Tracing follows `NEPHELE_TRACE` (see [`trace_mode_from_env`]).
 pub fn paper_platform() -> Platform {
-    Platform::new(PlatformConfig::builder().tracing(trace_config_from_env()).build())
+    Platform::new(PlatformConfig::builder().trace_mode(trace_mode_from_env()).build())
 }
 
 /// Builds a platform with a custom guest pool (MiB).
@@ -30,7 +33,7 @@ pub fn platform_with_pool(pool_mib: u64) -> Platform {
     Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(pool_mib)
-            .tracing(trace_config_from_env())
+            .trace_mode(trace_mode_from_env())
             .build(),
     )
 }

@@ -15,7 +15,7 @@
 
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{AuditMode, MuxKind, Platform, PlatformConfig, SinkOverhead, TraceConfig};
+use nephele::{AuditMode, MuxKind, Platform, PlatformConfig, SinkOverhead, TraceMode};
 
 /// Scale-run parameters.
 #[derive(Debug, Clone)]
@@ -29,8 +29,8 @@ pub struct ScaleConfig {
     pub pool_mib: u64,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Observability knobs; Aggregate mode is the point of this driver.
-    pub tracing: TraceConfig,
+    /// Trace mode; Aggregate mode is the point of this scale run.
+    pub tracing: TraceMode,
 }
 
 impl Default for ScaleConfig {
@@ -40,7 +40,7 @@ impl Default for ScaleConfig {
             batch: 250,
             pool_mib: 1024,
             seed: 0x5ca1e,
-            tracing: TraceConfig::aggregate(),
+            tracing: TraceMode::Aggregate,
         }
     }
 }
@@ -75,7 +75,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .tracing(cfg.tracing.clone())
+            .trace_mode(cfg.tracing)
             .audit(AuditMode::Off)
             .build(),
     );
@@ -180,7 +180,7 @@ mod tests {
         };
         let agg = run_scale(&base);
         let full = run_scale(&ScaleConfig {
-            tracing: TraceConfig::enabled(),
+            tracing: TraceMode::Full,
             ..base
         });
         assert!(

@@ -29,7 +29,7 @@ use nephele::sim_core::hist::Histogram;
 use nephele::sim_core::rng::SplitMix64;
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{AuditMode, MuxKind, Platform, PlatformConfig, TraceConfig};
+use nephele::{AuditMode, MuxKind, Platform, PlatformConfig};
 
 /// Parameters of the open-loop arrival process.
 #[derive(Debug, Clone)]
@@ -324,7 +324,6 @@ pub fn run_macro(cfg: &MacroConfig) -> MacroReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),
     );

@@ -21,7 +21,7 @@ use linux_procs::ProcessModel;
 use nephele::hypervisor::cloneop::{CloneOp, CloneOpResult};
 use nephele::sim_core::{Clock, DomId, Pfn, SimDuration, SimTime, SplitMix64};
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{Platform, PlatformConfig, TraceConfig, TraceSink};
+use nephele::{Platform, PlatformConfig, TraceMode, TraceSink};
 
 use crate::afl::Afl;
 
@@ -59,10 +59,10 @@ pub struct FuzzConfig {
     pub duration: SimDuration,
     /// PRNG seed.
     pub seed: u64,
-    /// Observability knobs for the campaign platform (off by default; the
-    /// platform modes thread this through [`PlatformConfig`], the bare
-    /// Linux models have no platform and ignore it).
-    pub tracing: TraceConfig,
+    /// Trace mode of the campaign platform (off by default; the platform
+    /// modes thread this through [`PlatformConfig`], the bare Linux models
+    /// have no platform and ignore it).
+    pub tracing: TraceMode,
 }
 
 impl Default for FuzzConfig {
@@ -72,7 +72,7 @@ impl Default for FuzzConfig {
             target: FuzzTarget::SyscallSubsystem,
             duration: SimDuration::from_secs(300),
             seed: 0xF022,
-            tracing: TraceConfig::default(),
+            tracing: TraceMode::Off,
         }
     }
 }
@@ -188,7 +188,7 @@ fn fuzz_platform(cfg: &FuzzConfig) -> Platform {
             .guest_pool_mib(256)
             .ring_capacity(128)
             .mux(nephele::MuxKind::None)
-            .tracing(cfg.tracing.clone())
+            .trace_mode(cfg.tracing)
             .build(),
     )
 }
@@ -382,7 +382,7 @@ mod tests {
             target,
             duration: SimDuration::from_secs(10),
             seed: 42,
-            tracing: TraceConfig::default(),
+            ..Default::default()
         })
     }
 

@@ -36,16 +36,17 @@
 //! assert_eq!(DeviceClass::Usb.semantics(), CloneSemantics::DetachOnClone);
 //! ```
 //!
-//! To observe what a run did, enable tracing and export the recorded
-//! spans ([`TraceConfig`], [`Platform::trace`], chrome-trace JSON and CSV
-//! exporters in [`sim_core::trace`]). Long or wide runs should switch the
-//! sink to streaming aggregation ([`TraceMode::Aggregate`], or
-//! `NEPHELE_TRACE_MODE=aggregate` at runtime): raw records are folded into
-//! histograms, virtual-time timeline slices and per-clone-family rollups
-//! as they close, so sink memory stays bounded by distinct metric keys
-//! rather than events. [`Platform::timeline_csv`],
-//! [`Platform::metrics_text`] and [`Platform::family_rollup_csv`] export
-//! identical bytes in either mode.
+//! To observe what a run did, pick a [`TraceMode`]
+//! ([`PlatformConfigBuilder::trace_mode`]) and export what the sink
+//! recorded ([`Platform::trace`], chrome-trace JSON and CSV exporters in
+//! [`sim_core::trace`]). Every enabled sink folds spans, counters and
+//! gauges into histograms, virtual-time timeline slices and
+//! per-clone-family rollups as they are recorded.
+//! [`TraceMode::Aggregate`] keeps only that fold, so sink memory stays
+//! bounded by distinct metric keys rather than events; [`TraceMode::Full`]
+//! also retains every raw record for the chrome trace.
+//! [`Platform::timeline_csv`], [`Platform::metrics_text`] and
+//! [`Platform::family_rollup_csv`] export identical bytes in either mode.
 //!
 //! Re-exports give access to every subsystem (`nephele::hypervisor`,
 //! `nephele::xenstore`, ...).
@@ -95,8 +96,6 @@ pub use hypervisor::error::HvError;
 pub use sim_core::{
     FamilyRow,
     SinkOverhead,
-    TimelineConfig,
-    TraceConfig,
     TraceMode,
     TraceSink, //
 };

@@ -38,7 +38,6 @@ use sim_core::{
     FlightRecorder,
     SimDuration,
     SplitMix64,
-    TraceConfig,
     TraceMode,
     TraceSink,
     DEFAULT_FLIGHTREC_CAPACITY, //
@@ -185,9 +184,9 @@ pub struct PlatformConfig {
     pub mux: MuxKind,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Observability knobs (tracing is off by default; when off, the
+    /// Trace mode ([`TraceMode::Off`] by default; when off, the
     /// instrumentation throughout the platform does near-zero work).
-    pub tracing: TraceConfig,
+    pub tracing: TraceMode,
     /// Capacity of the always-on flight recorder ring (events kept).
     /// Overridable at runtime with a numeric `NEPHELE_FLIGHTREC` value.
     pub flightrec_capacity: usize,
@@ -212,7 +211,7 @@ impl Default for PlatformConfig {
             costs: CostModel::calibrated(),
             mux: MuxKind::Bond,
             seed: 0x6e65_7068_656c_65, // "nephele"
-            tracing: TraceConfig::default(),
+            tracing: TraceMode::Off,
             flightrec_capacity: DEFAULT_FLIGHTREC_CAPACITY,
             flightrec_dir: PathBuf::from("results"),
             flightrec_dumps: true,
@@ -226,15 +225,15 @@ impl PlatformConfig {
     /// Starts a builder from the default (paper-calibrated) configuration.
     ///
     /// ```
-    /// use nephele::{MuxKind, PlatformConfig, TraceConfig};
+    /// use nephele::{MuxKind, PlatformConfig, TraceMode};
     ///
     /// let cfg = PlatformConfig::builder()
     ///     .cores(4)
     ///     .mux(MuxKind::Ovs)
-    ///     .tracing(TraceConfig::enabled())
+    ///     .trace_mode(TraceMode::Full)
     ///     .build();
     /// assert_eq!(cfg.mux, MuxKind::Ovs);
-    /// assert!(cfg.tracing.enabled);
+    /// assert_eq!(cfg.tracing, TraceMode::Full);
     /// ```
     pub fn builder() -> PlatformConfigBuilder {
         PlatformConfigBuilder {
@@ -302,34 +301,9 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the observability knobs (see [`TraceConfig`]).
-    pub fn tracing(mut self, tracing: TraceConfig) -> Self {
-        self.config.tracing = tracing;
-        self
-    }
-
-    /// Sets the trace retention mode, flipping the master switch to match
-    /// ([`TraceMode::Off`] disables the sink). Other tracing knobs are
-    /// preserved. `NEPHELE_TRACE_MODE` overrides this at runtime.
-    ///
-    /// ```
-    /// use nephele::{PlatformConfig, TraceMode};
-    ///
-    /// let cfg = PlatformConfig::builder().trace_mode(TraceMode::Aggregate).build();
-    /// assert!(cfg.tracing.enabled);
-    /// assert_eq!(cfg.tracing.effective_mode(), TraceMode::Aggregate);
-    /// ```
+    /// Sets the trace mode ([`TraceMode::Off`] disables the sink).
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.config.tracing.mode = mode;
-        self.config.tracing.enabled = mode != TraceMode::Off;
-        self
-    }
-
-    /// Caps the raw counter samples a Full-mode sink retains; the oldest
-    /// samples are dropped past the cap (totals, timelines and streaming
-    /// aggregates are unaffected).
-    pub fn counter_sample_cap(mut self, cap: usize) -> Self {
-        self.config.tracing.counter_sample_cap = Some(cap);
+        self.config.tracing = mode;
         self
     }
 
@@ -477,18 +451,7 @@ impl Platform {
     pub fn new(config: PlatformConfig) -> Self {
         let clock = Clock::new();
         let costs = Rc::new(config.costs);
-        // `NEPHELE_TRACE_MODE=off|full|aggregate` overrides the configured
-        // retention mode (and the master switch with it); the remaining
-        // tracing knobs are kept as configured.
-        let mut tracing = config.tracing.clone();
-        if let Some(mode) = std::env::var("NEPHELE_TRACE_MODE")
-            .ok()
-            .and_then(|v| TraceMode::parse(v.trim()))
-        {
-            tracing.mode = mode;
-            tracing.enabled = mode != TraceMode::Off;
-        }
-        let trace = TraceSink::new(clock.clone(), &tracing);
+        let trace = TraceSink::new(clock.clone(), config.tracing);
         let mut hv = Hypervisor::new(clock.clone(), costs.clone(), &config.machine);
         let mut xs = Xenstore::new(clock.clone(), costs.clone());
         let mut dm = DeviceManager::new(clock.clone(), costs.clone());
@@ -1631,7 +1594,7 @@ mod tests {
     #[test]
     fn family_rollup_includes_resident_rows_for_live_families() {
         let mut cfg = PlatformConfig::small();
-        cfg.tracing = TraceConfig::aggregate();
+        cfg.tracing = TraceMode::Aggregate;
         let mut p = Platform::new(cfg);
         let dom = p
             .launch_plain(

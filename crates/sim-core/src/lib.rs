@@ -58,4 +58,4 @@ pub use rng::SplitMix64;
 pub use rollup::{FamilyRegistry, FamilyRow, FamilyStats};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Timeline, TimelineConfig};
-pub use trace::{SinkOverhead, SpanGuard, TraceConfig, TraceMode, TraceSink};
+pub use trace::{SinkOverhead, SpanGuard, TraceMode, TraceSink};

@@ -6,9 +6,8 @@
 //! [`register_child`](FamilyRegistry::register_child),
 //! [`forget`](FamilyRegistry::forget)); the trace sink then resolves every
 //! dom-attributed span, counter and gauge to its root family *at record
-//! time* — so attribution is immune to domain-id reuse — and either folds
-//! it here immediately (Aggregate mode) or stamps the resolved family onto
-//! the retained record (Full mode) for post-hoc aggregation.
+//! time* — so attribution is immune to domain-id reuse — and folds it here
+//! immediately, in every trace mode.
 //!
 //! Registry memory is O(live domains + families × distinct keys): the
 //! per-domain root binding is dropped when a domain dies, while the family
@@ -131,16 +130,6 @@ impl FamilyRegistry {
             f.spans.clear();
             f.counters.clear();
             f.gauges.clear();
-        }
-    }
-
-    /// Drops only the event-flow stats (spans, counters), keeping
-    /// membership *and* gauges — the state a Full-mode post-hoc
-    /// recomputation rebuilds from the retained records.
-    pub fn clear_flow_stats(&mut self) {
-        for f in self.families.values_mut() {
-            f.spans.clear();
-            f.counters.clear();
         }
     }
 

@@ -8,26 +8,29 @@
 //! stamped from the virtual [`Clock`] — the host clock is never read — so
 //! two runs with the same seed produce byte-identical exports.
 //!
-//! A sink is **disabled by default** ([`TraceSink::default`]): every
-//! operation on a disabled sink is a single `Option` check, so leaving the
-//! instrumentation in place costs effectively nothing when tracing is off.
+//! A sink is **disabled by default** ([`TraceSink::default`],
+//! [`TraceMode::Off`]): every operation on a disabled sink is a single
+//! `Option` check, so leaving the instrumentation in place costs
+//! effectively nothing when tracing is off.
 //!
 //! # Trace modes
 //!
-//! An enabled sink runs in one of two [`TraceMode`]s:
+//! An enabled sink folds every observation *as it is recorded*: each span
+//! into a per-name log-bucketed [`Histogram`] when it closes, every
+//! observation into a bounded virtual-time [`Timeline`], and
+//! dom-attributed metrics into their clone family via the
+//! [`FamilyRegistry`] fed by the hypervisor. The [`TraceMode`] decides only
+//! what is kept on top of that fold:
 //!
-//! * [`TraceMode::Full`] retains every span, counter sample and gauge
-//!   sample — O(events) memory — for post-hoc analysis and the Chrome
-//!   trace exporter.
-//! * [`TraceMode::Aggregate`] folds each span into per-name aggregates and
-//!   log-bucketed [`Histogram`]s *at close time* and drops the raw record;
-//!   counter and gauge samples are never retained. Memory stays at
-//!   O(distinct metric keys × timeline slices) no matter how many events a
-//!   run produces — the mode that scales to 10^5-domain experiments.
+//! * [`TraceMode::Aggregate`] drops each raw span record at close time and
+//!   never retains counter or gauge samples. Memory stays at O(distinct
+//!   metric keys × timeline slices) no matter how many events a run
+//!   produces — the mode that scales to 10^5-domain experiments.
+//! * [`TraceMode::Full`] additionally retains every span, counter sample
+//!   and gauge sample — O(events) memory — for [`spans`](TraceSink::spans)
+//!   and the Chrome trace exporter.
 //!
-//! Both modes additionally stream every observation into a bounded
-//! virtual-time [`Timeline`] and resolve dom-attributed metrics to their
-//! clone family via the [`FamilyRegistry`] fed by the hypervisor, so
+//! Since both modes share one fold, the aggregates,
 //! [`timeline_csv`](TraceSink::timeline_csv),
 //! [`metrics_text`](TraceSink::metrics_text) and
 //! [`family_rollup_csv`](TraceSink::family_rollup_csv) are byte-identical
@@ -47,7 +50,7 @@
 //! * [`TraceSink::family_rollup_csv`] — per-clone-family rollups.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::rc::Rc;
@@ -57,22 +60,23 @@ use crate::hist::Histogram;
 use crate::ids::DomId;
 use crate::rollup::{render_family_csv, FamilyRegistry, FamilyRow};
 use crate::time::SimTime;
-use crate::timeline::{Timeline, TimelineConfig};
+use crate::timeline::Timeline;
 
-/// How much raw data an enabled sink retains; see the [module docs](self).
+/// Whether a sink records, and how much raw data it retains on top of the
+/// close-time fold; see the [module docs](self).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing at all (the sink is disabled).
-    Off,
-    /// Retain every raw record — O(events) memory.
     #[default]
+    Off,
+    /// Fold, and also retain every raw record — O(events) memory.
     Full,
-    /// Fold at record time, drop raw records — O(keys) memory.
+    /// Fold only, drop raw records — O(keys) memory.
     Aggregate,
 }
 
 impl TraceMode {
-    /// Parses the `NEPHELE_TRACE_MODE` spellings (case-insensitive):
+    /// Parses the `NEPHELE_TRACE` spellings (case-insensitive):
     /// `off`/`0`/`none`, `full`/`1`/`on`, `aggregate`/`agg`.
     pub fn parse(s: &str) -> Option<TraceMode> {
         match s.to_ascii_lowercase().as_str() {
@@ -91,51 +95,6 @@ impl fmt::Display for TraceMode {
             TraceMode::Full => "full",
             TraceMode::Aggregate => "aggregate",
         })
-    }
-}
-
-/// Tracing knobs for a platform (off by default).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Master switch. When `false` the platform keeps a disabled sink and
-    /// instrumentation does near-zero work.
-    pub enabled: bool,
-    /// Retention mode of an enabled sink ([`TraceMode::Full`] by default;
-    /// [`TraceMode::Off`] here disables the sink like `enabled: false`).
-    pub mode: TraceMode,
-    /// Retention cap for raw counter samples in Full mode (`None` =
-    /// unbounded). When the cap is hit the *oldest* samples are dropped
-    /// (counted in [`SinkOverhead::counter_samples_dropped`]); totals,
-    /// timelines and streaming aggregates are unaffected.
-    pub counter_sample_cap: Option<usize>,
-    /// Virtual-time slicing of the [`Timeline`].
-    pub timeline: TimelineConfig,
-}
-
-impl TraceConfig {
-    /// A config with tracing switched on (Full mode).
-    pub fn enabled() -> Self {
-        TraceConfig { enabled: true, ..Default::default() }
-    }
-
-    /// A config with Aggregate-mode tracing switched on.
-    pub fn aggregate() -> Self {
-        TraceConfig::with_mode(TraceMode::Aggregate)
-    }
-
-    /// A config for the given mode ([`TraceMode::Off`] yields a disabled
-    /// config).
-    pub fn with_mode(mode: TraceMode) -> Self {
-        TraceConfig { enabled: mode != TraceMode::Off, mode, ..Default::default() }
-    }
-
-    /// The mode an enabled sink built from this config would run in.
-    pub fn effective_mode(&self) -> TraceMode {
-        if self.enabled {
-            self.mode
-        } else {
-            TraceMode::Off
-        }
     }
 }
 
@@ -222,10 +181,6 @@ pub struct SpanRecord {
     pub end: Option<SimTime>,
     /// Typed attributes attached via [`SpanGuard::attr`].
     pub attrs: Vec<(&'static str, AttrValue)>,
-    /// Clone-family root this span was attributed to at close time, via
-    /// its first `dom`/`parent`/`child` attribute (`None` when the span
-    /// carries none, or the domain is outside any registered family).
-    pub family: Option<u32>,
 }
 
 impl SpanRecord {
@@ -246,9 +201,6 @@ pub struct CounterSample {
     pub delta: u64,
     /// Running total after the bump.
     pub total: u64,
-    /// Clone-family root the bump was attributed to at record time (set
-    /// by [`TraceSink::count_dom`] for domains in a registered family).
-    pub family: Option<u32>,
 }
 
 /// One timestamped per-domain gauge observation.
@@ -306,30 +258,29 @@ pub struct SinkOverhead {
     pub retained_gauge_samples: u64,
     /// High-water mark of `retained_gauge_samples`.
     pub peak_retained_gauge_samples: u64,
-    /// Counter samples evicted by [`TraceConfig::counter_sample_cap`].
-    pub counter_samples_dropped: u64,
 }
 
 #[derive(Debug)]
 struct TraceBuf {
     clock: Clock,
     mode: TraceMode,
-    counter_cap: Option<usize>,
+    /// Bumped by [`TraceSink::clear`]; a [`SpanGuard`] opened in an earlier
+    /// epoch points at a slot that no longer holds its span.
+    epoch: u64,
     spans: Vec<SpanRecord>,
     /// Free slots of the span slab (Aggregate mode reuses closed slots so
     /// open-span indices stay stable while memory stays bounded).
     free: Vec<usize>,
     stack: Vec<usize>,
     counters: BTreeMap<&'static str, u64>,
-    counter_samples: VecDeque<CounterSample>,
+    counter_samples: Vec<CounterSample>,
     gauges: Vec<GaugeSample>,
     /// Last value per `(gauge, domain)` — the end-of-run state
     /// [`TraceSink::metrics_text`] exposes; maintained in both modes.
     gauge_last: BTreeMap<(&'static str, u32), u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    /// Streaming per-name span aggregates `(count, total_ns)` (Aggregate).
-    span_agg: BTreeMap<&'static str, (u64, u64)>,
-    /// Streaming per-name span duration histograms (Aggregate).
+    /// Per-name span duration histograms, folded at close time; the source
+    /// of [`TraceSink::span_aggregates`] as well.
     span_hists: BTreeMap<&'static str, Histogram>,
     timeline: Timeline,
     families: FamilyRegistry,
@@ -369,43 +320,50 @@ pub struct TraceSink {
 /// RAII guard for an open span: records the exit timestamp (from the shared
 /// virtual clock) when dropped, which makes spans robust to `?`-style early
 /// returns.
+///
+/// A guard whose span was wiped by [`TraceSink::clear`] is inert: its
+/// [`attr`](Self::attr) and drop record nothing.
 #[must_use = "a span ends when its guard drops; binding to _ ends it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    inner: Option<(Rc<RefCell<TraceBuf>>, usize)>,
+    /// The buffer, the span's slot and the [`TraceBuf::epoch`] it was
+    /// opened in.
+    inner: Option<(Rc<RefCell<TraceBuf>>, usize, u64)>,
 }
 
 impl SpanGuard {
     /// Attaches a typed attribute to the span.
     pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
-        if let Some((buf, idx)) = &self.inner {
-            buf.borrow_mut().spans[*idx].attrs.push((key, value.into()));
+        if let Some((buf, idx, epoch)) = &self.inner {
+            let mut b = buf.borrow_mut();
+            if b.epoch == *epoch {
+                b.spans[*idx].attrs.push((key, value.into()));
+            }
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((buf, idx)) = self.inner.take() {
+        if let Some((buf, idx, epoch)) = self.inner.take() {
             let mut b = buf.borrow_mut();
+            if b.epoch != epoch {
+                return;
+            }
             let end = b.clock.now();
             let rec = &mut b.spans[idx];
             rec.end = Some(end);
             let name = rec.name;
             let dur = end.since(rec.start).as_ns();
             let family = b.family_of_attrs(&b.spans[idx].attrs);
-            b.spans[idx].family = family;
             b.stack.retain(|&i| i != idx);
             b.overhead.span_closes += 1;
             b.timeline.fold_span(end, name, dur);
+            b.span_hists.entry(name).or_default().record(dur);
+            if let Some(root) = family {
+                b.families.record_span(root, name, dur);
+            }
             if b.mode == TraceMode::Aggregate {
-                let e = b.span_agg.entry(name).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += dur;
-                b.span_hists.entry(name).or_default().record(dur);
-                if let Some(root) = family {
-                    b.families.record_span(root, name, dur);
-                }
                 // Tombstone the slot and hand it back to the slab: the
                 // raw record (and its attr allocations) die here.
                 b.spans[idx] = SpanRecord {
@@ -415,7 +373,6 @@ impl Drop for SpanGuard {
                     start: end,
                     end: Some(end),
                     attrs: Vec::new(),
-                    family: None,
                 };
                 b.free.push(idx);
                 b.note_span_retention();
@@ -430,11 +387,9 @@ impl TraceSink {
         TraceSink { inner: None }
     }
 
-    /// Builds a sink from the shared clock and a config; returns a disabled
-    /// sink when the config's [effective mode](TraceConfig::effective_mode)
-    /// is [`TraceMode::Off`].
-    pub fn new(clock: Clock, config: &TraceConfig) -> Self {
-        let mode = config.effective_mode();
+    /// Builds a sink from the shared clock running in `mode`; returns a
+    /// disabled sink for [`TraceMode::Off`].
+    pub fn new(clock: Clock, mode: TraceMode) -> Self {
         if mode == TraceMode::Off {
             return TraceSink::disabled();
         }
@@ -442,18 +397,17 @@ impl TraceSink {
             inner: Some(Rc::new(RefCell::new(TraceBuf {
                 clock,
                 mode,
-                counter_cap: config.counter_sample_cap,
+                epoch: 0,
                 spans: Vec::new(),
                 free: Vec::new(),
                 stack: Vec::new(),
                 counters: BTreeMap::new(),
-                counter_samples: VecDeque::new(),
+                counter_samples: Vec::new(),
                 gauges: Vec::new(),
                 gauge_last: BTreeMap::new(),
                 hists: BTreeMap::new(),
-                span_agg: BTreeMap::new(),
                 span_hists: BTreeMap::new(),
-                timeline: Timeline::new(config.timeline),
+                timeline: Timeline::default(),
                 families: FamilyRegistry::default(),
                 overhead: SinkOverhead::default(),
             }))),
@@ -488,7 +442,6 @@ impl TraceSink {
             start,
             end: None,
             attrs: Vec::new(),
-            family: None,
         };
         let idx = match b.free.pop() {
             Some(i) => {
@@ -504,13 +457,12 @@ impl TraceSink {
         b.overhead.span_opens += 1;
         b.note_span_retention();
         SpanGuard {
-            inner: Some((buf.clone(), idx)),
+            inner: Some((buf.clone(), idx, b.epoch)),
         }
     }
 
     /// Bumps the named monotonic counter by `delta`; in Full mode a
-    /// timestamped sample of the new total is retained (subject to
-    /// [`TraceConfig::counter_sample_cap`]).
+    /// timestamped sample of the new total is retained.
     pub fn count(&self, name: &'static str, delta: u64) {
         self.count_inner(name, None, delta);
     }
@@ -532,27 +484,15 @@ impl TraceSink {
         };
         b.overhead.counter_bumps += 1;
         b.timeline.fold_count(at, name, delta, total);
-        let family = dom.and_then(|d| b.families.root_of(d));
-        match b.mode {
-            TraceMode::Full => {
-                b.counter_samples.push_back(CounterSample { name, at, delta, total, family });
-                if let Some(cap) = b.counter_cap {
-                    while b.counter_samples.len() > cap {
-                        b.counter_samples.pop_front();
-                        b.overhead.counter_samples_dropped += 1;
-                    }
-                }
-                let retained = b.counter_samples.len() as u64;
-                b.overhead.retained_counter_samples = retained;
-                b.overhead.peak_retained_counter_samples =
-                    b.overhead.peak_retained_counter_samples.max(retained);
-            }
-            TraceMode::Aggregate => {
-                if let Some(root) = family {
-                    b.families.record_counter(root, name, delta);
-                }
-            }
-            TraceMode::Off => unreachable!("an enabled sink is never Off"),
+        if let Some(root) = dom.and_then(|d| b.families.root_of(d)) {
+            b.families.record_counter(root, name, delta);
+        }
+        if b.mode == TraceMode::Full {
+            b.counter_samples.push(CounterSample { name, at, delta, total });
+            let retained = b.counter_samples.len() as u64;
+            b.overhead.retained_counter_samples = retained;
+            b.overhead.peak_retained_counter_samples =
+                b.overhead.peak_retained_counter_samples.max(retained);
         }
     }
 
@@ -607,26 +547,12 @@ impl TraceSink {
             .unwrap_or_default()
     }
 
-    /// Per-name histograms of span durations: streamed at close time in
-    /// Aggregate mode, computed from the retained records in Full mode —
-    /// identical either way.
+    /// Per-name histograms of span durations, folded at close time.
     pub fn span_hists(&self) -> BTreeMap<&'static str, Histogram> {
-        let Some(buf) = &self.inner else {
-            return BTreeMap::new();
-        };
-        let b = buf.borrow();
-        match b.mode {
-            TraceMode::Aggregate => b.span_hists.clone(),
-            _ => {
-                let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-                for s in &b.spans {
-                    if s.end.is_some() {
-                        out.entry(s.name).or_default().record(s.duration_ns());
-                    }
-                }
-                out
-            }
-        }
+        self.inner
+            .as_ref()
+            .map(|b| b.borrow().span_hists.clone())
+            .unwrap_or_default()
     }
 
     /// The latency histograms as
@@ -666,16 +592,10 @@ impl TraceSink {
     /// Snapshot of all recorded spans, in open order. Aggregate mode
     /// returns an empty list: raw records are dropped at close time.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .as_ref()
-            .map(|b| {
-                let b = b.borrow();
-                match b.mode {
-                    TraceMode::Aggregate => Vec::new(),
-                    _ => b.spans.clone(),
-                }
-            })
-            .unwrap_or_default()
+        match &self.inner {
+            Some(b) if b.borrow().mode == TraceMode::Full => b.borrow().spans.clone(),
+            _ => Vec::new(),
+        }
     }
 
     /// Snapshot of all counter totals.
@@ -687,12 +607,11 @@ impl TraceSink {
     }
 
     /// Snapshot of the retained raw counter samples, in record order
-    /// (empty in Aggregate mode; the oldest may have been evicted by
-    /// [`TraceConfig::counter_sample_cap`]).
+    /// (empty in Aggregate mode).
     pub fn counter_samples(&self) -> Vec<CounterSample> {
         self.inner
             .as_ref()
-            .map(|b| b.borrow().counter_samples.iter().cloned().collect())
+            .map(|b| b.borrow().counter_samples.clone())
             .unwrap_or_default()
     }
 
@@ -727,9 +646,11 @@ impl TraceSink {
     /// *lineage* is kept — lineage is structural state fed by lifecycle
     /// events that will not be replayed — while per-family metric stats
     /// reset. Useful for scoping an export to one phase of an experiment.
+    /// Spans still open are discarded, and their guards become inert.
     pub fn clear(&self) {
         if let Some(buf) = &self.inner {
             let mut b = buf.borrow_mut();
+            b.epoch += 1;
             b.spans.clear();
             b.free.clear();
             b.stack.clear();
@@ -738,7 +659,6 @@ impl TraceSink {
             b.gauges.clear();
             b.gauge_last.clear();
             b.hists.clear();
-            b.span_agg.clear();
             b.span_hists.clear();
             b.timeline.clear();
             b.families.clear_stats();
@@ -750,22 +670,16 @@ impl TraceSink {
     /// is finished, ends at or after its start, and lies within its parent's
     /// interval. Returns a description of the first violation. In Aggregate
     /// mode only the open/closed invariant remains checkable (closed spans
-    /// are gone).
+    /// are tombstones).
     pub fn validate_well_nested(&self) -> Result<(), String> {
-        if let Some(buf) = &self.inner {
-            let b = buf.borrow();
-            if b.mode == TraceMode::Aggregate {
-                if !b.stack.is_empty() {
-                    return Err(format!("{} span(s) still open", b.stack.len()));
-                }
-                return Ok(());
-            }
+        let Some(buf) = &self.inner else { return Ok(()) };
+        let b = buf.borrow();
+        if let Some(&i) = b.stack.first() {
+            return Err(format!("span #{i} {:?} is still open", b.spans[i].name));
         }
-        let spans = self.spans();
+        let spans = &b.spans;
         for (i, s) in spans.iter().enumerate() {
-            let Some(end) = s.end else {
-                return Err(format!("span #{i} {:?} is still open", s.name));
-            };
+            let end = s.end.expect("a span off the stack is closed");
             if end < s.start {
                 return Err(format!("span #{i} {:?} ends before it starts", s.name));
             }
@@ -783,32 +697,19 @@ impl TraceSink {
         Ok(())
     }
 
-    /// Per-name aggregates over finished spans, sorted by name: streamed
-    /// at close time in Aggregate mode, computed post-hoc in Full mode —
-    /// identical either way.
+    /// Per-name aggregates over finished spans, sorted by name; read off
+    /// the [span histograms](Self::span_hists), whose count and sum are
+    /// exact.
     pub fn span_aggregates(&self) -> Vec<SpanAggregate> {
-        let agg: BTreeMap<&'static str, (u64, u64)> = match &self.inner {
-            Some(buf) if buf.borrow().mode == TraceMode::Aggregate => {
-                buf.borrow().span_agg.clone()
-            }
-            _ => {
-                let mut agg: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-                for s in self.spans() {
-                    if s.end.is_some() {
-                        let e = agg.entry(s.name).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += s.duration_ns();
-                    }
-                }
-                agg
-            }
+        let Some(buf) = &self.inner else {
+            return Vec::new();
         };
-        agg.into_iter()
-            .map(|(name, (count, total_ns))| SpanAggregate {
-                name,
-                count,
-                total_ns,
-                mean_ns: total_ns / count.max(1),
+        let b = buf.borrow();
+        b.span_hists
+            .iter()
+            .map(|(&name, h)| {
+                let total_ns = u64::try_from(h.sum()).unwrap_or(u64::MAX);
+                SpanAggregate { name, count: h.count(), total_ns, mean_ns: total_ns / h.count() }
             })
             .collect()
     }
@@ -859,35 +760,12 @@ impl TraceSink {
         self.inner.as_ref().and_then(|b| b.borrow().families.root_of(dom))
     }
 
-    /// Per-family rollup rows. Membership and gauges always come from the
-    /// streaming registry; span and counter attributions are streamed in
-    /// Aggregate mode and recomputed from the retained (family-stamped)
-    /// records in Full mode — identical either way (Full's counter rows
-    /// can undercount only if [`TraceConfig::counter_sample_cap`] evicted
-    /// attributed samples).
+    /// Per-family rollup rows, folded as spans close and counters bump.
     pub fn family_rows(&self) -> Vec<FamilyRow> {
-        let Some(buf) = &self.inner else {
-            return Vec::new();
-        };
-        let b = buf.borrow();
-        match b.mode {
-            TraceMode::Aggregate => b.families.rows(),
-            _ => {
-                let mut reg = b.families.clone();
-                reg.clear_flow_stats();
-                for s in &b.spans {
-                    if let (Some(root), Some(_)) = (s.family, s.end) {
-                        reg.record_span(root, s.name, s.duration_ns());
-                    }
-                }
-                for c in &b.counter_samples {
-                    if let Some(root) = c.family {
-                        reg.record_counter(root, c.name, c.delta);
-                    }
-                }
-                reg.rows()
-            }
-        }
+        self.inner
+            .as_ref()
+            .map(|b| b.borrow().families.rows())
+            .unwrap_or_default()
     }
 
     /// The family rollups as `family,root,metric,value` CSV, sorted by
@@ -1110,13 +988,13 @@ mod tests {
 
     fn enabled_sink() -> (Clock, TraceSink) {
         let clock = Clock::new();
-        let sink = TraceSink::new(clock.clone(), &TraceConfig::enabled());
+        let sink = TraceSink::new(clock.clone(), TraceMode::Full);
         (clock, sink)
     }
 
     fn aggregate_sink() -> (Clock, TraceSink) {
         let clock = Clock::new();
-        let sink = TraceSink::new(clock.clone(), &TraceConfig::aggregate());
+        let sink = TraceSink::new(clock.clone(), TraceMode::Aggregate);
         (clock, sink)
     }
 
@@ -1142,13 +1020,10 @@ mod tests {
     }
 
     #[test]
-    fn off_mode_config_builds_a_disabled_sink() {
-        let clock = Clock::new();
-        let sink = TraceSink::new(clock, &TraceConfig::with_mode(TraceMode::Off));
+    fn off_mode_builds_a_disabled_sink() {
+        assert_eq!(TraceMode::default(), TraceMode::Off);
+        let sink = TraceSink::new(Clock::new(), TraceMode::Off);
         assert!(!sink.is_enabled());
-        assert_eq!(TraceConfig::enabled().effective_mode(), TraceMode::Full);
-        assert_eq!(TraceConfig::aggregate().effective_mode(), TraceMode::Aggregate);
-        assert_eq!(TraceConfig::default().effective_mode(), TraceMode::Off);
     }
 
     #[test]
@@ -1224,28 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_sample_cap_drops_oldest_only() {
-        let clock = Clock::new();
-        let sink = TraceSink::new(
-            clock.clone(),
-            &TraceConfig {
-                counter_sample_cap: Some(2),
-                ..TraceConfig::enabled()
-            },
-        );
-        for _ in 0..5 {
-            sink.count("c", 1);
-        }
-        assert_eq!(sink.counter_total("c"), 5, "totals never lose bumps");
-        let samples = sink.counter_samples();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].total, 4, "oldest samples were evicted");
-        let o = sink.overhead();
-        assert_eq!(o.counter_samples_dropped, 3);
-        assert_eq!(o.peak_retained_counter_samples, 2);
-    }
-
-    #[test]
     fn aggregate_mode_drops_raw_records_but_keeps_aggregates() {
         let (clock, sink) = aggregate_sink();
         assert_eq!(sink.mode(), TraceMode::Aggregate);
@@ -1299,9 +1152,9 @@ mod tests {
 
     #[test]
     fn family_rollups_attribute_spans_and_counters_to_roots() {
-        for cfg in [TraceConfig::enabled(), TraceConfig::aggregate()] {
+        for mode in [TraceMode::Full, TraceMode::Aggregate] {
             let clock = Clock::new();
-            let sink = TraceSink::new(clock.clone(), &cfg);
+            let sink = TraceSink::new(clock.clone(), mode);
             sink.family_root_created(DomId(1), "web");
             sink.family_cloned(DomId(2), Some(DomId(1)));
             {
@@ -1321,8 +1174,7 @@ mod tests {
                  1,web,members_total,2\n\
                  1,web,span.clone.child.count,1\n\
                  1,web,span.clone.child.total_ns,3000\n",
-                "mode {:?}",
-                cfg.effective_mode()
+                "mode {mode:?}"
             );
             sink.family_destroyed(DomId(2));
             assert!(
@@ -1408,6 +1260,38 @@ mod tests {
         assert_eq!(sink.overhead(), SinkOverhead::default());
         assert_eq!(sink.timeline_stats(), (0, 0));
         assert_eq!(sink.family_root_of(DomId(1)), Some(1), "lineage survives clear");
+    }
+
+    #[test]
+    fn clear_makes_open_span_guards_inert() {
+        for mode in [TraceMode::Full, TraceMode::Aggregate] {
+            let clock = Clock::new();
+            let sink = TraceSink::new(clock.clone(), mode);
+            // The cleared span's slot is gone.
+            let stale = sink.span("stale");
+            sink.clear();
+            stale.attr("dom", 1u64);
+            clock.advance(SimDuration::from_us(1));
+            drop(stale);
+            assert!(sink.span_aggregates().is_empty(), "mode {mode:?}");
+            // The cleared span's slot now holds a fresh span, which the
+            // stale guard must not close.
+            let stale = sink.span("stale");
+            sink.clear();
+            let fresh = sink.span("fresh");
+            clock.advance(SimDuration::from_us(1));
+            stale.attr("dom", 1u64);
+            drop(stale);
+            clock.advance(SimDuration::from_us(1));
+            drop(fresh);
+            assert_eq!(
+                sink.span_aggregates(),
+                vec![SpanAggregate { name: "fresh", count: 1, total_ns: 2_000, mean_ns: 2_000 }],
+                "mode {mode:?}"
+            );
+            assert_eq!(sink.overhead().span_closes, 1, "mode {mode:?}");
+            sink.validate_well_nested().unwrap();
+        }
     }
 
     #[test]

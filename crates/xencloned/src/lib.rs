@@ -534,10 +534,7 @@ mod tests {
     #[test]
     fn failing_child_leaves_the_ring_tail_queued() {
         let mut w = world();
-        w.daemon.attach_trace(TraceSink::new(
-            w.clock.clone(),
-            &sim_core::TraceConfig::enabled(),
-        ));
+        w.daemon.attach_trace(TraceSink::new(w.clock.clone(), sim_core::TraceMode::Full));
         let parent = boot_parent(&mut w);
         let kids = match w
             .hv

@@ -8,7 +8,6 @@
 
 use fuzz::{run_campaign, FuzzConfig, FuzzMode, FuzzTarget};
 use nephele::sim_core::SimDuration;
-use nephele::TraceConfig;
 
 fn main() {
     let secs = 30;
@@ -24,7 +23,7 @@ fn main() {
             target: FuzzTarget::SyscallSubsystem,
             duration: SimDuration::from_secs(secs),
             seed: 7,
-            tracing: TraceConfig::default(),
+            ..Default::default()
         });
         println!("{label}:");
         println!("  throughput : {:>10.1} exec/s", report.avg_throughput);

@@ -1,16 +1,19 @@
-//! Streaming-aggregation equivalence: for any random clone-family tape,
-//! [`TraceMode::Aggregate`](nephele::TraceMode) — which folds each span
-//! into histograms and per-key aggregates at close time and drops the
-//! raw record — must report exactly what Full mode computes post hoc
-//! from its retained O(events) record set: the same span aggregates,
-//! the same histograms, the same family rollups, and byte-identical
-//! `timeline_csv()` / `metrics_text()` exports.
+//! Close-time aggregation against a post-hoc reference: for any random
+//! clone-family tape, the span aggregates and duration histograms the sink
+//! folds as spans close must equal what this test recomputes from Full
+//! mode's retained raw spans. [`TraceMode::Aggregate`](nephele::TraceMode),
+//! which keeps only the fold, must then report exactly what Full mode
+//! reports: the same span aggregates, histograms and family rollups, and
+//! byte-identical `timeline_csv()` / `metrics_text()` exports.
 //!
 //! The same exports must also be invariant under a same-seed rerun — the
 //! determinism contract every figure gate depends on.
 
+use std::collections::BTreeMap;
+
 use nephele::hypervisor::cloneop::CloneOp;
-use nephele::sim_core::{DomId, Pfn, TraceConfig, TraceMode, PAGE_SIZE};
+use nephele::sim_core::trace::{SpanAggregate, SpanRecord};
+use nephele::sim_core::{DomId, Histogram, Pfn, TraceMode, PAGE_SIZE};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, Platform, PlatformConfig};
 use testkit::prop::{check, ranges, vecs, Gen};
@@ -51,13 +54,39 @@ fn ops_gen() -> impl Gen<Value = Vec<Op>> {
     )
 }
 
-/// Everything the two modes must agree on.
+/// Everything the two modes must agree on, plus the raw spans Full mode
+/// retains (none in Aggregate mode) and the sink's own span fold.
 struct Exports {
     span_aggregates: String,
     histograms: String,
     timeline: String,
     metrics: String,
     families: String,
+    spans: Vec<SpanRecord>,
+    span_aggs: Vec<SpanAggregate>,
+    span_hists: BTreeMap<&'static str, Histogram>,
+}
+
+/// The reference the sink's close-time fold must match: per-name count,
+/// total and mean duration, and duration histograms, recomputed from raw
+/// span records.
+fn post_hoc(spans: &[SpanRecord]) -> (Vec<SpanAggregate>, BTreeMap<&'static str, Histogram>) {
+    let mut hists: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+    let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+    for s in spans {
+        assert!(s.end.is_some(), "span {:?} left open", s.name);
+        hists.entry(s.name).or_default().record(s.duration_ns());
+        let (count, total_ns) = totals.entry(s.name).or_default();
+        *count += 1;
+        *total_ns += s.duration_ns();
+    }
+    let aggs = totals
+        .into_iter()
+        .map(|(name, (count, total_ns))| {
+            SpanAggregate { name, count, total_ns, mean_ns: total_ns / count }
+        })
+        .collect();
+    (aggs, hists)
 }
 
 fn run_tape(mode: TraceMode, ops: &[Op]) -> Exports {
@@ -65,10 +94,7 @@ fn run_tape(mode: TraceMode, ops: &[Op]) -> Exports {
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(64)
-            // No counter-sample cap: Full must retain every raw sample so
-            // its post-hoc aggregation covers the same events Aggregate
-            // folded in streaming.
-            .tracing(TraceConfig::with_mode(mode))
+            .trace_mode(mode)
             .audit(AuditMode::Off)
             .flightrec_dir("target/test-prop-trace")
             .build(),
@@ -119,17 +145,34 @@ fn run_tape(mode: TraceMode, ops: &[Op]) -> Exports {
         timeline: p.timeline_csv(),
         metrics: p.metrics_text(),
         families: p.family_rollup_csv(),
+        spans: p.trace().spans(),
+        span_aggs: p.trace().span_aggregates(),
+        span_hists: p.trace().span_hists(),
     }
 }
 
-/// Aggregate's streaming fold must equal Full's retain-then-aggregate on
-/// every export, reproducibly.
+/// The close-time fold must equal the post-hoc reference over Full's
+/// retained spans, and Aggregate must equal Full on every export,
+/// reproducibly.
 #[test]
 fn streaming_aggregation_matches_full_mode_post_hoc() {
     check(10, |g| {
         let ops = g.draw(&ops_gen());
         let full = run_tape(TraceMode::Full, &ops);
         let agg = run_tape(TraceMode::Aggregate, &ops);
+        assert!(!full.spans.is_empty(), "Full mode retains the raw spans");
+        assert!(agg.spans.is_empty(), "Aggregate mode drops the raw spans");
+        let (ref_aggs, ref_hists) = post_hoc(&full.spans);
+        for (mode, e) in [("full", &full), ("aggregate", &agg)] {
+            assert_eq!(
+                e.span_aggs, ref_aggs,
+                "{mode}: span aggregates diverge from the reference for {ops:?}"
+            );
+            assert_eq!(
+                e.span_hists, ref_hists,
+                "{mode}: span histograms diverge from the reference for {ops:?}"
+            );
+        }
         assert_eq!(
             full.span_aggregates, agg.span_aggregates,
             "span aggregates diverge between modes for {ops:?}"

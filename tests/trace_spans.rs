@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use nephele::sim_core::trace::SpanRecord;
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{Platform, PlatformConfig, TraceConfig};
+use nephele::{Platform, PlatformConfig, TraceMode};
 
 fn cfg(name: &str) -> DomainConfig {
     DomainConfig::builder(name)
@@ -19,7 +19,7 @@ fn traced_platform() -> Platform {
     Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(256)
-            .tracing(TraceConfig::enabled())
+            .trace_mode(TraceMode::Full)
             .build(),
     )
 }
@@ -172,7 +172,7 @@ fn forced_clone_failure_increments_failure_counters() {
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(256)
-            .tracing(TraceConfig::enabled())
+            .trace_mode(TraceMode::Full)
             .flightrec_dir("target/test-flightrec")
             .build(),
     );
