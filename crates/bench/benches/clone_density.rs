@@ -14,9 +14,21 @@
 //! destroys it again, so the measurement covers exactly the two hot-path
 //! ops (clone_domain and destroy) at the given density — the pool always
 //! returns to its ramped size between iterations.
+//!
+//! The `pump_density` groups pin the data path the same way: one
+//! `host_udp_send` round trip to a UDP echo family behind the bond, at 30
+//! and at 3 000 members. The network pump services only the vifs with
+//! queued packets, so a request into the larger family must cost the same
+//! as one into the smaller; `scripts/verify.sh` asserts the 3 000-member
+//! median stays within 2x of the 30-member median (a pump probing every
+//! live vif's rings each round made it ~250x).
+
+use std::net::Ipv4Addr;
 
 use testkit::bench::Bench;
 
+use nephele::apps::UdpEchoApp;
+use nephele::netmux::SockEvent;
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, MuxKind, Platform, PlatformConfig};
@@ -56,6 +68,54 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
     (p, template)
 }
 
+/// The echo family's shared service address and port.
+const SERVICE_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+const SERVICE_PORT: u16 = 7000;
+
+/// Builds a UDP echo root in the default bond mux and grows it by
+/// `guest_fork` to `members` forked members.
+fn echo_family(members: u32) -> Platform {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .ring_capacity(1_024)
+            .seed(0xd_e2_51_7e)
+            .audit(AuditMode::Off)
+            .build(),
+    );
+    let cfg = DomainConfig::builder("echo")
+        .memory_mib(4)
+        .vif(SERVICE_IP)
+        .max_clones(u32::MAX)
+        .build();
+    let root = p
+        .launch(
+            &cfg,
+            &KernelImage::minios("echo"),
+            Box::new(UdpEchoApp::shared_port(SERVICE_PORT)),
+        )
+        .expect("echo root boot");
+    p.enlist_in_mux(root);
+    let mut made = 0u32;
+    while made < members {
+        let want = (members - made).min(128);
+        let kids = p.guest_fork(root, want).expect("ramp fork");
+        assert_eq!(kids.len() as u32, want, "pool exhausted during ramp");
+        made += want;
+    }
+    p.take_host_events();
+    p
+}
+
+/// One request to the family's service address and the drain of its
+/// reply; returns how many echoes came back.
+fn request(p: &mut Platform, src_port: u16) -> usize {
+    p.host_udp_send(SERVICE_IP, src_port, SERVICE_PORT, b"ping".to_vec());
+    p.take_host_events()
+        .iter()
+        .filter(|e| matches!(e, SockEvent::UdpData { src_port: SERVICE_PORT, .. }))
+        .count()
+}
+
 fn main() {
     let mut c = Bench::new("clone_density");
     for live in [100u32, 1_000, 10_000] {
@@ -71,6 +131,20 @@ fn main() {
                 for k in kids {
                     p.destroy(k).expect("timed destroy");
                 }
+            })
+        });
+        g.finish();
+    }
+    for members in [30u32, 3_000] {
+        let mut g = c.benchmark_group(&format!("pump_density_{members}"));
+        g.sample_size(20);
+        let mut p = echo_family(members);
+        // Rotating source ports spread the flows over the bond's members.
+        let mut port = 0u16;
+        g.bench_function("udp_request", |b| {
+            b.iter(|| {
+                port = (port + 1) % 512;
+                assert_eq!(request(&mut p, 20_000 + port), 1, "request unanswered");
             })
         });
         g.finish();

@@ -36,9 +36,10 @@ pub mod usb;
 pub mod vsock;
 pub mod xenbus;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use hypervisor::domain::PrivatePolicy;
@@ -202,6 +203,12 @@ pub struct DeviceManager {
     usbs: BTreeMap<(u32, u32), UsbPassthrough>,
     bus: DeviceBus,
     trace: TraceSink,
+    /// Vifs whose TX ring holds packets, keyed like `vifs`. The pump
+    /// services these instead of probing every live vif, as netback only
+    /// services a vif whose event channel fired.
+    tx_ready: BTreeSet<(u32, u32)>,
+    /// Vifs whose RX ring holds packets.
+    rx_ready: BTreeSet<(u32, u32)>,
 }
 
 impl DeviceManager {
@@ -223,6 +230,8 @@ impl DeviceManager {
             usbs: BTreeMap::new(),
             bus: DeviceBus::new(),
             trace: TraceSink::default(),
+            tx_ready: BTreeSet::new(),
+            rx_ready: BTreeSet::new(),
         }
     }
 
@@ -479,6 +488,13 @@ impl DeviceManager {
         let (guest_port, back_port) = hv.evtchn_connect_pair(child, DomId::DOM0)?;
         let iface = self.alloc_iface();
         let vif = parent_vif.clone_for_child(child, iface, guest_port, back_port);
+        // The copied rings carry the parent's in-flight packets (§4.2).
+        if !vif.tx.is_empty() {
+            self.tx_ready.insert((child.0, devid));
+        }
+        if !vif.rx.is_empty() {
+            self.rx_ready.insert((child.0, devid));
+        }
         self.vifs.insert((child.0, devid), vif);
         self.iface_map.insert(iface, (child, devid));
         self.bus.register(Rc::new(VifDev { dom: child, devid }));
@@ -511,12 +527,78 @@ impl DeviceManager {
         self.vifs.keys().map(|(d, i)| (DomId(*d), *i)).collect()
     }
 
-    /// Whether a vif has pending TX entries.
-    pub fn has_pending_tx(&self, dom: DomId, devid: u32) -> bool {
-        self.vifs
-            .get(&(dom.0, devid))
-            .map(|v| !v.tx.is_empty())
-            .unwrap_or(false)
+    /// The MAC of the first vif in key order that carries `ip`, found by
+    /// walking the vif map in place.
+    pub fn mac_for_ip(&self, ip: Ipv4Addr) -> Option<MacAddr> {
+        self.vifs.values().find(|v| v.ip == ip).map(|v| v.mac)
+    }
+
+    /// The first vif after `after` (from the start when `None`), in key
+    /// order, whose TX ring holds packets. O(log ready vifs).
+    pub fn next_tx_ready(&self, after: Option<(DomId, u32)>) -> Option<(DomId, u32)> {
+        Self::next_ready(&self.tx_ready, after)
+    }
+
+    /// The first vif after `after` (from the start when `None`), in key
+    /// order, whose RX ring holds packets. O(log ready vifs).
+    pub fn next_rx_ready(&self, after: Option<(DomId, u32)>) -> Option<(DomId, u32)> {
+        Self::next_ready(&self.rx_ready, after)
+    }
+
+    fn next_ready(set: &BTreeSet<(u32, u32)>, after: Option<(DomId, u32)>) -> Option<(DomId, u32)> {
+        let from = match after {
+            Some((d, i)) => Bound::Excluded((d.0, i)),
+            None => Bound::Unbounded,
+        };
+        set.range((from, Bound::Unbounded))
+            .next()
+            .map(|&(d, i)| (DomId(d), i))
+    }
+
+    /// How many vifs hold queued TX and RX packets: `(0, 0)` once the
+    /// platform has pumped to quiescence.
+    pub fn ready_vifs(&self) -> (usize, usize) {
+        (self.tx_ready.len(), self.rx_ready.len())
+    }
+
+    /// Diffs the TX- and RX-ready sets against a fresh scan of every vif's
+    /// ring lengths; one message per vif the two disagree on. Empty when
+    /// consistent.
+    pub fn audit_ready_index(&self) -> Vec<String> {
+        let mut bad = Vec::new();
+        let queued = |pick: fn(&Vif) -> bool| -> BTreeSet<(u32, u32)> {
+            self.vifs.iter().filter(|(_, v)| pick(v)).map(|(k, _)| *k).collect()
+        };
+        for (ring, set, expect) in [
+            ("tx", &self.tx_ready, queued(|v| !v.tx.is_empty())),
+            ("rx", &self.rx_ready, queued(|v| !v.rx.is_empty())),
+        ] {
+            for (d, i) in set.difference(&expect) {
+                let why = if self.vifs.contains_key(&(*d, *i)) {
+                    "its ring is empty"
+                } else {
+                    "no such vif exists"
+                };
+                bad.push(format!("{ring}-ready index holds vif dom{d}.{i} but {why}"));
+            }
+            for (d, i) in expect.difference(set) {
+                bad.push(format!(
+                    "vif dom{d}.{i} queues {ring} packets but is missing from the {ring}-ready index"
+                ));
+            }
+        }
+        bad
+    }
+
+    /// Test-only: plants (or removes) a TX-ready entry without touching
+    /// any ring, so the index-consistency audit can prove it detects drift
+    /// between the ready sets and the ring scan they replaced.
+    pub fn corrupt_ready_index_for_test(&mut self, dom: DomId, devid: u32, insert: bool) {
+        if insert {
+            self.tx_ready.insert((dom.0, devid));
+        } else {
+            self.tx_ready.remove(&(dom.0, devid));
+        }
     }
 
     /// Resolves a host interface to its (domain, devid).
@@ -537,6 +619,9 @@ impl DeviceManager {
             .get_mut(&(dom.0, devid))
             .ok_or(DevError::NoSuchDevice(dom, devid))?;
         let pushed = vif.tx.push(pkt);
+        if pushed {
+            self.tx_ready.insert((dom.0, devid));
+        }
         self.trace
             .count_dom(if pushed { "dev.ring.tx" } else { "dev.ring.tx_drop" }, dom, 1);
         self.trace
@@ -549,6 +634,7 @@ impl DeviceManager {
         let Some(vif) = self.vifs.get_mut(&(dom.0, devid)) else {
             return Vec::new();
         };
+        self.tx_ready.remove(&(dom.0, devid));
         std::iter::from_fn(|| vif.tx.pop()).collect()
     }
 
@@ -567,6 +653,9 @@ impl DeviceManager {
             Some(vif) => vif.rx.push(pkt),
             None => false,
         };
+        if pushed {
+            self.rx_ready.insert((dom.0, devid));
+        }
         self.trace
             .count_dom(if pushed { "dev.ring.rx" } else { "dev.ring.rx_drop" }, dom, 1);
         self.trace
@@ -579,6 +668,7 @@ impl DeviceManager {
         let Some(vif) = self.vifs.get_mut(&(dom.0, devid)) else {
             return Vec::new();
         };
+        self.rx_ready.remove(&(dom.0, devid));
         std::iter::from_fn(|| vif.rx.pop()).collect()
     }
 
@@ -1072,6 +1162,8 @@ impl DeviceManager {
     pub fn forget_domain(&mut self, udev: &mut UdevBus, dom: DomId) {
         for key in Self::owned_range(&self.vifs, dom) {
             if let Some(v) = self.vifs.remove(&key) {
+                self.tx_ready.remove(&key);
+                self.rx_ready.remove(&key);
                 self.iface_map.remove(&v.iface);
                 udev.emit(UdevEvent::VifRemoved { dom, devid: key.1 });
             }

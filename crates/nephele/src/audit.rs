@@ -49,11 +49,12 @@
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
 //!     hypervisor's referrer index (which domains' tables name which),
-//!     the `DOMID_CHILD` fan-out registry's reverse indices, and the
-//!     toolstack's name index. Each must agree exactly with a fresh
+//!     the `DOMID_CHILD` fan-out registry's reverse indices, the
+//!     toolstack's name index, and the device manager's TX/RX-ready vif
+//!     sets the network pump drains. Each must agree exactly with a fresh
 //!     recount over the ground-truth state — any divergence means a
 //!     destroy or create would tear down the wrong (or miss the right)
-//!     references.
+//!     references, or the pump would strand a queued packet.
 //!
 //! The checks are read-only and O(total frames + domains + devices); they
 //! run on demand, after every clone/destroy in debug builds, and after
@@ -639,13 +640,18 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
 
     // 12. Scan-replacing indices vs the scans they replaced: the
     // hypervisor's per-table and referrer indices, the fan-out
-    // registry's reverse indices, and the toolstack's name index.
+    // registry's reverse indices, the toolstack's name index, and the
+    // device manager's ready-vif sets.
     report.checks += 1;
     for detail in hv.audit_ref_indices() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });
     }
     report.checks += 1;
     for detail in p.xl.audit_name_index() {
+        report.violations.push(AuditViolation { invariant: "index-consistency", detail });
+    }
+    report.checks += 1;
+    for detail in p.dm.audit_ready_index() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });
     }
 

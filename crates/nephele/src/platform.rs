@@ -1081,21 +1081,24 @@ impl Platform {
         for _round in 0..10_000 {
             let mut progress = false;
 
-            // Guest → fabric.
-            for (dom, devid) in self.dm.all_vif_keys() {
+            // Guest → fabric: only the vifs with queued TX packets, in
+            // key order.
+            let mut at = None;
+            while let Some((dom, devid)) = self.dm.next_tx_ready(at) {
+                at = Some((dom, devid));
                 for pkt in self.dm.take_tx(dom, devid) {
                     progress = true;
                     self.route_from_guest(pkt);
                 }
             }
 
-            // Fabric → guest stacks → app callbacks.
-            let keys = self.dm.all_vif_keys();
-            for (dom, devid) in keys {
+            // Fabric → guest stacks → app callbacks. The cursor visits a
+            // vif exactly when a scan of every vif in key order would;
+            // a fork dispatched here pumps to quiescence before returning.
+            let mut at = None;
+            while let Some((dom, devid)) = self.dm.next_rx_ready(at) {
+                at = Some((dom, devid));
                 let pkts = self.dm.take_rx(dom, devid);
-                if pkts.is_empty() {
-                    continue;
-                }
                 progress = true;
                 let Some(mut slot) = self.guests.remove(&dom.0) else {
                     continue;
@@ -1188,9 +1191,7 @@ impl Platform {
         // Destination MAC resolution happens in the fabric (mux/mac table);
         // rewrite dst MAC to the target family's if known.
         let pkt = Packet {
-            dst_mac: self
-                .mac_for_ip(dst_ip)
-                .unwrap_or(MacAddr::BROADCAST),
+            dst_mac: self.dm.mac_for_ip(dst_ip).unwrap_or(MacAddr::BROADCAST),
             ..pkt
         };
         self.route_to_guest(pkt);
@@ -1199,7 +1200,7 @@ impl Platform {
 
     /// Opens a TCP connection from the host endpoint to `dst_ip:port`.
     pub fn host_tcp_connect(&mut self, dst_ip: Ipv4Addr, port: u16) -> ConnId {
-        let mac = self.mac_for_ip(dst_ip).unwrap_or(MacAddr::BROADCAST);
+        let mac = self.dm.mac_for_ip(dst_ip).unwrap_or(MacAddr::BROADCAST);
         let (conn, syn) = self.host_stack.tcp_connect(mac, dst_ip, port);
         self.route_to_guest(syn);
         self.pump();
@@ -1228,21 +1229,6 @@ impl Platform {
     pub fn take_host_events(&mut self) -> Vec<SockEvent> {
         self.host_events.extend(self.host_stack.poll_events());
         std::mem::take(&mut self.host_events)
-    }
-
-    fn mac_for_ip(&self, ip: Ipv4Addr) -> Option<MacAddr> {
-        if self.mux_ip == Some(ip) {
-            // Any family member's MAC (they are identical by design).
-            return self
-                .dm
-                .all_vif_keys()
-                .iter()
-                .find_map(|(d, i)| self.dm.vif(*d, *i).filter(|v| v.ip == ip).map(|v| v.mac));
-        }
-        self.dm
-            .all_vif_keys()
-            .iter()
-            .find_map(|(d, i)| self.dm.vif(*d, *i).filter(|v| v.ip == ip).map(|v| v.mac))
     }
 
     // ------------------------------------------------------------------
@@ -1446,6 +1432,68 @@ mod tests {
             .filter(|e| matches!(e, SockEvent::UdpData { src_port: 7, .. }))
             .count();
         assert_eq!(replies, 32, "every flow answered despite identical MAC/IP");
+    }
+
+    /// A packet queued on the parent's TX ring at the clone point is
+    /// copied into the child's ring (§4.2); the child's copy must be
+    /// ready, and the next pump routes each copy exactly once.
+    #[test]
+    fn tx_ring_copied_at_clone_is_ready_and_routed_once_per_copy() {
+        let mut p = plat();
+        let ip = Ipv4Addr::new(10, 0, 0, 2);
+        let parent = p.launch_plain(&udp_cfg("inflight", ip), &KernelImage::minios("tx")).unwrap();
+        p.host_stack.udp_bind(9999);
+        let mac = p.dm.vif(parent, 0).unwrap().mac;
+        let pkt = Packet::udp(mac, HOST_MAC, ip, HOST_IP, 7, 9999, b"inflight".to_vec());
+        assert!(p.dm.guest_tx(parent, 0, pkt).unwrap());
+
+        let child = p.clone_domain(parent, 1).unwrap()[0];
+        assert_eq!(p.dm.vif(child, 0).unwrap().tx.len(), 1, "ring copied");
+        assert_eq!(p.dm.next_tx_ready(None), Some((parent, 0)));
+        assert_eq!(p.dm.next_tx_ready(Some((parent, 0))), Some((child, 0)));
+        assert_eq!(p.dm.next_tx_ready(Some((child, 0))), None);
+
+        let routed = p.packets_routed;
+        p.pump();
+        assert_eq!(p.packets_routed - routed, 2, "each copy routed exactly once");
+        assert_eq!(p.dm.ready_vifs(), (0, 0));
+        let delivered = p
+            .take_host_events()
+            .into_iter()
+            .filter(|e| matches!(e, SockEvent::UdpData { payload, .. } if payload == b"inflight"))
+            .count();
+        assert_eq!(delivered, 2);
+        assert!(p.audit().is_clean());
+    }
+
+    /// Every public call that pumps drives the fabric to quiescence, so it
+    /// leaves no vif ready on either ring.
+    #[test]
+    fn pumping_calls_leave_the_ready_sets_empty() {
+        let mut p = plat();
+        let ip = Ipv4Addr::new(10, 0, 0, 2);
+        let dom = p
+            .launch(
+                &udp_cfg("echo", ip),
+                &KernelImage::minios("echo"),
+                Box::new(UdpEcho { port: 7, seen: 0 }),
+            )
+            .unwrap();
+        assert_eq!(p.dm.ready_vifs(), (0, 0), "after launch");
+        p.enlist_in_mux(dom);
+        p.guest_fork(dom, 3).unwrap();
+        assert_eq!(p.dm.ready_vifs(), (0, 0), "after guest_fork");
+        for port in 0..8u16 {
+            p.host_udp_send(ip, 6000 + port, 7, b"q".to_vec());
+            assert_eq!(p.dm.ready_vifs(), (0, 0), "after host_udp_send");
+        }
+        p.with_app::<UdpEcho, _>(dom, |_, env| {
+            env.udp_send_host(0, 7, 9999, b"unsolicited".to_vec());
+        })
+        .unwrap();
+        assert_eq!(p.dm.ready_vifs(), (0, 0), "after with_app");
+        p.run_for(SimDuration::from_ms(5));
+        assert_eq!(p.dm.ready_vifs(), (0, 0), "after run_for");
     }
 
     #[test]

@@ -88,6 +88,27 @@ awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
     }
 }'
 
+echo "== pump density gate (3000-member echo family request median <= 2x the 30-member median)"
+# The ready-set pump's contract: a request's host cost must not scale
+# with the number of live vifs. When the pump probed every live vif's
+# rings each round, the 3000-member median sat at ~250x the 30-member one.
+pump_median() {
+    sed -n 's/.*"group": "pump_density_'"$1"'", "name": "udp_request".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
+        results/BENCH_clone_density.json
+}
+awk -v m30="$(pump_median 30)" -v m3k="$(pump_median 3000)" 'BEGIN {
+    if (m30 + 0 <= 0 || m3k + 0 <= 0) {
+        print "verify.sh: missing pump_density medians (m30=" m30 ", m3k=" m3k ")"
+        exit 1
+    }
+    ratio = m3k / m30
+    printf "   host_udp_send round trip median: %.0f ns at 30 members vs %.0f ns at 3000 (%.2fx)\n", m30, m3k, ratio
+    if (ratio > 2.0) {
+        print "verify.sh: per-request cost grows " ratio "x from 30 to 3000 family members (gate: 2x)"
+        exit 1
+    }
+}'
+
 echo "== trace overhead budget gate (Aggregate vs Off / Full)"
 # Streaming aggregation buys bounded memory; this gate asserts it stays
 # within its host-cost budget: an Aggregate-mode instrumentation tick

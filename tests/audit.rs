@@ -8,6 +8,7 @@ use std::path::Path;
 
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::hypervisor::memory::FrameOwner;
+use nephele::netmux::{MacAddr, Packet};
 use nephele::sim_core::{DomId, Pfn};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, Platform, PlatformConfig};
@@ -449,6 +450,59 @@ fn corrupted_peer_ref_index_is_detected() {
     );
 
     p.hv.corrupt_peer_ref_for_test(parent, DomId::DOM0, -1);
+    assert!(p.audit().is_clean());
+}
+
+/// The pump drains only the vifs in the ready sets, so a ghost entry
+/// (an empty ring marked ready) or a lost one (a queued packet the pump
+/// would never visit) changes no ring: only the index-consistency
+/// invariant can see either, and the report must name the vif.
+#[test]
+fn corrupted_ready_index_is_detected_and_named() {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios("ready");
+    let parent = p.launch_plain(&guest_cfg("ready"), &img).expect("boot");
+    let child = p.clone_domain(parent, 1).expect("clone")[0];
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+    let vif_name = |d: DomId| format!("dom{}.0", d.0);
+    let only_index = |report: &nephele::AuditReport| {
+        report.violations.iter().all(|v| v.invariant == "index-consistency")
+    };
+
+    // A ghost: the parent's TX ring is empty.
+    p.dm.corrupt_ready_index_for_test(parent, 0, true);
+    let report = p.audit();
+    assert!(!report.is_clean(), "a ghost ready entry must fail the audit");
+    assert!(only_index(&report), "only the index invariant can see it:\n{report}");
+    assert!(
+        report.violations.iter().any(|v| v.detail.contains(&vif_name(parent))),
+        "violation must name the ghost vif:\n{report}"
+    );
+    p.dm.corrupt_ready_index_for_test(parent, 0, false);
+    assert!(p.audit().is_clean());
+
+    // A lost entry: the child queues a packet the index no longer names.
+    let vif = p.dm.vif(child, 0).expect("child vif").clone();
+    let host = Ipv4Addr::new(10, 0, 0, 1);
+    let pkt = Packet::udp(vif.mac, MacAddr::BROADCAST, vif.ip, host, 4000, 9, vec![1]);
+    assert!(p.dm.guest_tx(child, 0, pkt).expect("child vif exists"));
+    assert!(p.audit().is_clean(), "a queued packet is indexed");
+    p.dm.corrupt_ready_index_for_test(child, 0, false);
+    let report = p.audit();
+    assert!(!report.is_clean(), "a lost ready entry must fail the audit");
+    assert!(only_index(&report), "only the index invariant can see it:\n{report}");
+    assert!(
+        report.violations.iter().any(|v| v.detail.contains(&vif_name(child))),
+        "violation must name the stranded vif:\n{report}"
+    );
+    p.dm.corrupt_ready_index_for_test(child, 0, true);
+    p.pump();
     assert!(p.audit().is_clean());
 }
 

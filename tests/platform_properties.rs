@@ -1,5 +1,6 @@
-//! Platform-level property tests: arbitrary mixes of boots, clones and
-//! destroys must keep every component's view consistent and leak nothing.
+//! Platform-level property tests: arbitrary mixes of boots, clones,
+//! destroys and host sends must keep every component's view consistent
+//! and leak nothing.
 
 use std::net::Ipv4Addr;
 
@@ -14,6 +15,8 @@ enum Op {
     Boot,
     Clone { idx: usize },
     Destroy { idx: usize },
+    /// A host UDP datagram to live domain `idx`'s address.
+    Send { idx: usize },
 }
 
 fn ops() -> impl Gen<Value = Op> {
@@ -21,6 +24,7 @@ fn ops() -> impl Gen<Value = Op> {
         (1, just(Op::Boot).boxed()),
         (3, usizes().map(|idx| Op::Clone { idx }).boxed()),
         (1, usizes().map(|idx| Op::Destroy { idx }).boxed()),
+        (2, usizes().map(|idx| Op::Send { idx }).boxed()),
     ])
 }
 
@@ -79,7 +83,21 @@ fn platform_state_stays_consistent() {
                         }
                     }
                 }
+                Op::Send { idx } => {
+                    let d = live[idx % live.len()];
+                    let ip = p.dm.vif(d, 0).expect("live vif").ip;
+                    p.host_udp_send(ip, 4000 + (idx % 64) as u16, 7, vec![idx as u8]);
+                }
             }
+
+            // The pump's ready sets match a ring scan, and nothing is
+            // left queued: no op leaves packets for a later pump.
+            let report = p.audit();
+            assert!(
+                report.violations.iter().all(|v| v.invariant != "index-consistency"),
+                "{report}"
+            );
+            assert_eq!(p.dm.ready_vifs(), (0, 0));
 
             // Cross-component consistency after every step.
             for d in &live {
