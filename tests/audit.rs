@@ -506,6 +506,50 @@ fn corrupted_ready_index_is_detected_and_named() {
     assert!(p.audit().is_clean());
 }
 
+/// Invariant 11 (`device-bus`) fires on both kinds of drift between the
+/// device model and the Xenstore device tree: a device node no device
+/// owns (an orphan), and a live device whose node is gone.
+#[test]
+fn device_tree_drift_is_detected_and_named() {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios("devtree");
+    let parent = p.launch_plain(&guest_cfg("devtree"), &img).expect("boot");
+    let child = p.clone_domain(parent, 1).expect("clone")[0];
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+    let device_bus = |report: &nephele::AuditReport, needle: &str| {
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == "device-bus" && v.detail.contains(needle))
+    };
+
+    // An orphan: a USB frontend node for a domain that holds no USB device.
+    let stray = format!("/local/domain/{}/device/vusb/0", child.0);
+    p.xs.write(DomId::DOM0, &format!("{stray}/backend"), "nowhere").unwrap();
+    let report = p.audit();
+    assert!(
+        device_bus(&report, &stray) && device_bus(&report, "orphan"),
+        "an unowned device node must be reported as an orphan:\n{report}"
+    );
+    p.xs.rm(DomId::DOM0, &stray).unwrap();
+    assert!(p.audit().is_clean(), "removing the stray node restores a clean audit");
+
+    // A missing node: a live vif whose backend directory is gone.
+    let backend = format!("/local/domain/0/backend/vif/{}/0", parent.0);
+    p.xs.rm(DomId::DOM0, &backend).unwrap();
+    let report = p.audit();
+    assert!(
+        device_bus(&report, "missing its Xenstore node") && device_bus(&report, &backend),
+        "a live vif without its backend node must be reported:\n{report}"
+    );
+}
+
 /// Dom0 alone (a freshly booted platform) audits clean, and the report's
 /// check count grows with platform size.
 #[test]
