@@ -1,0 +1,239 @@
+//! Device classes and their clone semantics.
+//!
+//! The paper's §4.2 describes a *heuristic per device class* for what
+//! cloning a device means: consoles get fresh rings, network devices get
+//! their rings copied, 9pfs shares the parent's backend process. This
+//! module states those heuristics as data: every device is named by a
+//! [`DeviceId`] (class + device index), and its class declares how it
+//! clones ([`CloneSemantics`]).
+//!
+//! The device model itself is the only registry of live devices:
+//! [`DeviceManager::devices`](crate::DeviceManager::devices) derives a
+//! domain's device list from the per-class backend maps, and
+//! [`DeviceManager::clone_device`](crate::DeviceManager::clone_device)
+//! dispatches one device's clone on its class. The second stage is then
+//! a single loop:
+//!
+//! ```text
+//! for id in dm.devices(parent) {           // sorted: console, vifs, 9pfs, ...
+//!     if policy.clones(id.class) {
+//!         dm.clone_device(hv, xs, udev, parent, child, id, deep_copy)?;
+//!     }
+//! }
+//! ```
+//!
+//! A cloned child appears in that list as soon as its backend state
+//! exists — except under [`CloneSemantics::DetachOnClone`], where the
+//! child deliberately gets nothing.
+
+use std::collections::BTreeMap;
+
+use sim_core::DomId;
+
+/// The device classes the platform models, in dispatch order.
+///
+/// The `Ord` derivation is load-bearing: the device list is sorted by
+/// `(class, devid)`, and `Console < Vif < P9fs` reproduces the exact
+/// dispatch order of the historical hand-enumerated second stage
+/// (console first, then vifs by device index, then 9pfs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum DeviceClass {
+    /// The PV console (xenconsoled-managed).
+    Console,
+    /// A PV network interface (netfront/netback).
+    Vif,
+    /// The 9pfs root filesystem (QEMU-hosted backend).
+    P9fs,
+    /// A PV block device: shared read-only base image + per-clone COW
+    /// overlay.
+    Vbd,
+    /// A vsock-like host↔guest stream device.
+    Vsock,
+    /// USB/IP passthrough of an exclusively-assigned host device.
+    Usb,
+}
+
+impl DeviceClass {
+    /// Every class, in dispatch order.
+    pub const ALL: [DeviceClass; 6] = [
+        DeviceClass::Console,
+        DeviceClass::Vif,
+        DeviceClass::P9fs,
+        DeviceClass::Vbd,
+        DeviceClass::Vsock,
+        DeviceClass::Usb,
+    ];
+
+    /// The Xenstore directory name of this class (`device/<name>/...`).
+    pub fn name(self) -> &'static str {
+        match self {
+            DeviceClass::Console => "console",
+            DeviceClass::Vif => "vif",
+            DeviceClass::P9fs => "9pfs",
+            DeviceClass::Vbd => "vbd",
+            DeviceClass::Vsock => "vsock",
+            DeviceClass::Usb => "vusb",
+        }
+    }
+
+    /// The clone heuristic every device of this class declares (§4.2).
+    pub fn semantics(self) -> CloneSemantics {
+        match self {
+            DeviceClass::Console => CloneSemantics::Reconnect,
+            DeviceClass::Vif => CloneSemantics::DeepCopy,
+            DeviceClass::P9fs => CloneSemantics::ShareRing,
+            DeviceClass::Vbd => CloneSemantics::CowOverlay,
+            DeviceClass::Vsock => CloneSemantics::Reconnect,
+            DeviceClass::Usb => CloneSemantics::DetachOnClone,
+        }
+    }
+}
+
+/// How a device class reacts to its owner being cloned — the typed form
+/// of the paper's per-device heuristics (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CloneSemantics {
+    /// Only registry state is cloned; the backend builds fresh transport
+    /// state for the child (console: a new ring so the parent's output is
+    /// not replayed; vsock: a new connection on a reallocated port).
+    Reconnect,
+    /// The child keeps using the *parent's* backend instance; cloning is
+    /// a control-plane request to that backend (9pfs: one QMP fid-table
+    /// duplication against the same QEMU process).
+    ShareRing,
+    /// Transport state is copied verbatim because it embeds guest-owned
+    /// allocator metadata (vif rings + preallocated RX buffers).
+    DeepCopy,
+    /// The child shares the parent's read-only base and gets a thin
+    /// private overlay for its writes (block devices).
+    CowOverlay,
+    /// The device cannot be shared or duplicated (exclusive host
+    /// resource); the child comes up without it and the parent keeps it.
+    DetachOnClone,
+}
+
+impl CloneSemantics {
+    /// Short lower-case label (used in docs, traces and audits).
+    pub fn name(self) -> &'static str {
+        match self {
+            CloneSemantics::Reconnect => "reconnect",
+            CloneSemantics::ShareRing => "share-ring",
+            CloneSemantics::DeepCopy => "deep-copy",
+            CloneSemantics::CowOverlay => "cow-overlay",
+            CloneSemantics::DetachOnClone => "detach-on-clone",
+        }
+    }
+}
+
+/// A device's identity within its owning domain: its class plus its
+/// per-domain device index. Sorting by `DeviceId` gives the canonical
+/// dispatch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DeviceId {
+    /// The device class.
+    pub class: DeviceClass,
+    /// Device index within the owning domain (0 for singleton classes).
+    pub devid: u32,
+}
+
+impl DeviceId {
+    /// Convenience constructor.
+    pub fn new(class: DeviceClass, devid: u32) -> Self {
+        DeviceId { class, devid }
+    }
+
+    /// The Xenstore directories `owner`'s device of this id owns
+    /// (frontend and backend; the console has one directory).
+    pub fn xenstore_paths(self, owner: DomId) -> Vec<String> {
+        let i = self.devid;
+        match self.class {
+            DeviceClass::Console => vec![crate::console_dir(owner)],
+            DeviceClass::Vif => vec![
+                crate::vif_front_dir(owner, i),
+                crate::vif_back_dir(owner, i),
+            ],
+            DeviceClass::P9fs => vec![crate::p9_front_dir(owner), crate::p9_back_dir(owner)],
+            DeviceClass::Vbd => vec![
+                crate::vbd_front_dir(owner, i),
+                crate::vbd_back_dir(owner, i),
+            ],
+            DeviceClass::Vsock => vec![crate::vsock_front_dir(owner), crate::vsock_back_dir(owner)],
+            DeviceClass::Usb => vec![
+                crate::usb_front_dir(owner, i),
+                crate::usb_back_dir(owner, i),
+            ],
+        }
+    }
+}
+
+/// Per-class clone policy: which device classes the second stage clones.
+///
+/// Every class defaults to enabled; §7.1's Redis experiment disables the
+/// network class ("the I/O cloning is optimized to clone only the devices
+/// that are needed by the clones"). Disabling
+/// [`DeviceClass::Usb`] is a no-op in spirit: its
+/// [`CloneSemantics::DetachOnClone`] already leaves the child without the
+/// device either way.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClonePolicy {
+    /// Classes explicitly overridden away from the enabled default.
+    overrides: BTreeMap<DeviceClass, bool>,
+}
+
+impl ClonePolicy {
+    /// The default policy: every class cloned.
+    pub fn all() -> Self {
+        ClonePolicy::default()
+    }
+
+    /// Sets whether `class` is cloned (builder-style).
+    pub fn set(mut self, class: DeviceClass, enabled: bool) -> Self {
+        if enabled {
+            self.overrides.remove(&class);
+        } else {
+            self.overrides.insert(class, false);
+        }
+        self
+    }
+
+    /// Whether the second stage clones devices of `class`.
+    pub fn clones(&self, class: DeviceClass) -> bool {
+        *self.overrides.get(&class).unwrap_or(&true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn device_class_order_matches_legacy_dispatch() {
+        assert!(DeviceClass::Console < DeviceClass::Vif);
+        assert!(DeviceClass::Vif < DeviceClass::P9fs);
+        assert!(DeviceClass::P9fs < DeviceClass::Vbd);
+        assert_eq!(DeviceClass::ALL.len(), 6);
+    }
+
+    #[test]
+    fn policy_defaults_to_all_enabled() {
+        let p = ClonePolicy::all();
+        for c in DeviceClass::ALL {
+            assert!(p.clones(c));
+        }
+        let p = p.set(DeviceClass::Vif, false);
+        assert!(!p.clones(DeviceClass::Vif));
+        assert!(p.clones(DeviceClass::Console));
+        let p = p.set(DeviceClass::Vif, true);
+        assert_eq!(p, ClonePolicy::all(), "re-enabling restores the default");
+    }
+
+    #[test]
+    fn semantics_table_matches_the_paper() {
+        assert_eq!(DeviceClass::Console.semantics(), CloneSemantics::Reconnect);
+        assert_eq!(DeviceClass::Vif.semantics(), CloneSemantics::DeepCopy);
+        assert_eq!(DeviceClass::P9fs.semantics(), CloneSemantics::ShareRing);
+        assert_eq!(DeviceClass::Vbd.semantics(), CloneSemantics::CowOverlay);
+        assert_eq!(DeviceClass::Vsock.semantics(), CloneSemantics::Reconnect);
+        assert_eq!(DeviceClass::Usb.semantics(), CloneSemantics::DetachOnClone);
+    }
+}

@@ -48,6 +48,11 @@ impl ConsoleBackend {
         self.rings.contains_key(&dom.0)
     }
 
+    /// The domains with console state, in domain-id order.
+    pub(crate) fn doms(&self) -> impl Iterator<Item = u32> + '_ {
+        self.rings.keys().copied()
+    }
+
     /// Guest writes bytes into its console ring.
     pub fn guest_write(&mut self, dom: DomId, bytes: &[u8]) {
         if let Some(ring) = self.rings.get_mut(&dom.0) {

@@ -18,13 +18,15 @@
 //!   state directly in the Connected state, and reuses backend processes
 //!   across the clone family.
 //!
-//! Each live device also registers itself on the [`bus::DeviceBus`] as a
-//! [`bus::CloneDevice`], declaring its clone heuristic as a typed
-//! [`bus::CloneSemantics`] value; the `xencloned` second stage dispatches
-//! through the bus rather than enumerating device classes by hand.
+//! The per-class backend maps are the only device registry:
+//! [`DeviceManager::devices`] derives a domain's devices from them as
+//! [`class::DeviceId`]s in dispatch order, each class declaring its clone
+//! heuristic as a typed [`class::CloneSemantics`] value, and the
+//! `xencloned` second stage hands each id to
+//! [`DeviceManager::clone_device`], which dispatches on the class.
 
 pub mod block;
-pub mod bus;
+pub mod class;
 pub mod console;
 pub mod memfs;
 pub mod net;
@@ -50,9 +52,7 @@ use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
 use xenstore::{XsCloneOp, XsError, Xenstore};
 
 use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
-use crate::bus::{
-    BlockDev, CloneDevice, ConsoleDev, DeviceBus, P9fsDev, UsbDev, VifDev, VsockDev,
-};
+use crate::class::{DeviceClass, DeviceId};
 use crate::console::ConsoleBackend;
 use crate::memfs::MemFs;
 use crate::net::{Vif, RX_RING_SLOTS, TX_RING_SLOTS};
@@ -201,7 +201,6 @@ pub struct DeviceManager {
     vbds: BTreeMap<(u32, u32), Vbd>,
     vsocks: HashMap<u32, VsockConn>,
     usbs: BTreeMap<(u32, u32), UsbPassthrough>,
-    bus: DeviceBus,
     trace: TraceSink,
     /// Vifs whose TX ring holds packets, keyed like `vifs`. The pump
     /// services these instead of probing every live vif, as netback only
@@ -228,22 +227,141 @@ impl DeviceManager {
             vbds: BTreeMap::new(),
             vsocks: HashMap::new(),
             usbs: BTreeMap::new(),
-            bus: DeviceBus::new(),
             trace: TraceSink::default(),
             tx_ready: BTreeSet::new(),
             rx_ready: BTreeSet::new(),
         }
     }
 
-    /// The device bus: every live device's identity and clone semantics.
-    pub fn bus(&self) -> &DeviceBus {
-        &self.bus
-    }
-
     /// The devices `owner` holds, sorted by `(class, devid)` — the
     /// canonical second-stage dispatch order (console, vifs, 9pfs, ...).
-    pub fn bus_devices(&self, owner: DomId) -> Vec<std::rc::Rc<dyn CloneDevice>> {
-        self.bus.devices(owner)
+    /// Derived from the per-class maps: one range per devid-keyed class,
+    /// one lookup per singleton class.
+    pub fn devices(&self, owner: DomId) -> Vec<DeviceId> {
+        fn owned<V>(
+            map: &BTreeMap<(u32, u32), V>,
+            owner: DomId,
+            class: DeviceClass,
+        ) -> impl Iterator<Item = DeviceId> + '_ {
+            map.range((owner.0, 0)..=(owner.0, u32::MAX))
+                .map(move |(&(_, i), _)| DeviceId::new(class, i))
+        }
+        let single = |class, present: bool| present.then_some(DeviceId::new(class, 0));
+        let d = owner.0;
+        single(DeviceClass::Console, self.console.is_attached(owner))
+            .into_iter()
+            .chain(owned(&self.vifs, owner, DeviceClass::Vif))
+            .chain(single(DeviceClass::P9fs, self.served_by.contains_key(&d)))
+            .chain(owned(&self.vbds, owner, DeviceClass::Vbd))
+            .chain(single(DeviceClass::Vsock, self.vsocks.contains_key(&d)))
+            .chain(owned(&self.usbs, owner, DeviceClass::Usb))
+            .collect()
+    }
+
+    /// Every device on the host, sorted by `(owner, class, devid)`.
+    pub fn all_devices(&self) -> Vec<(DomId, DeviceId)> {
+        let owners: BTreeSet<u32> = self
+            .console
+            .doms()
+            .chain(self.vifs.keys().map(|k| k.0))
+            .chain(self.served_by.keys().copied())
+            .chain(self.vbds.keys().map(|k| k.0))
+            .chain(self.vsocks.keys().copied())
+            .chain(self.usbs.keys().map(|k| k.0))
+            .collect();
+        owners
+            .into_iter()
+            .flat_map(|d| {
+                let owner = DomId(d);
+                self.devices(owner).into_iter().map(move |id| (owner, id))
+            })
+            .collect()
+    }
+
+    /// Clones `parent`'s device `id` for `child`, dispatching on its class
+    /// to that class's clone heuristic ([`DeviceClass::semantics`]).
+    /// Returns the host interface created for a cloned vif.
+    #[allow(clippy::too_many_arguments)]
+    pub fn clone_device(
+        &mut self,
+        hv: &mut Hypervisor,
+        xs: &mut Xenstore,
+        udev: &mut UdevBus,
+        parent: DomId,
+        child: DomId,
+        id: DeviceId,
+        deep_copy: bool,
+    ) -> Result<Option<IfaceId>> {
+        let devid = id.devid;
+        match id.class {
+            DeviceClass::Console => self.clone_console_impl(hv, xs, parent, child, deep_copy)?,
+            DeviceClass::Vif => {
+                let iface = self.clone_vif_impl(hv, xs, udev, parent, child, devid, deep_copy)?;
+                return Ok(Some(iface));
+            }
+            DeviceClass::P9fs => {
+                self.clone_9pfs_impl(xs, parent, child, deep_copy)?;
+            }
+            DeviceClass::Vbd => {
+                self.clone_vbd_impl(xs, parent, child, devid, deep_copy)?;
+            }
+            DeviceClass::Vsock => {
+                self.clone_vsock_impl(hv, xs, parent, child, deep_copy)?;
+            }
+            DeviceClass::Usb => self.clone_usb_detach_impl(parent, child, devid)?,
+        }
+        Ok(None)
+    }
+
+    /// Device-specific invariant checks for `owner`'s device `id`; each
+    /// returned string is one violation detail. Read-only; charges no
+    /// virtual time.
+    pub fn audit_device(&self, owner: DomId, id: DeviceId) -> Vec<String> {
+        let (d, i) = (owner.0, id.devid);
+        match id.class {
+            DeviceClass::Console => Vec::new(),
+            DeviceClass::Vif => match self.vifs.get(&(d, i)) {
+                Some(v) if !v.is_connected() => vec![format!("vif {owner}/{i} is not connected")],
+                _ => Vec::new(),
+            },
+            DeviceClass::P9fs => match self.served_by.get(&d) {
+                Some(pid) if !self.qemus.contains_key(pid) => vec![format!(
+                    "9pfs of {owner} is served by pid {pid}, which is not a live backend process"
+                )],
+                _ => Vec::new(),
+            },
+            DeviceClass::Vbd => match self.vbds.get(&(d, i)) {
+                Some(v) if !v.overlay_is_canonical() => vec![format!(
+                    "vbd {owner}/{i} overlay is not canonical (entry equal to the base image)"
+                )],
+                _ => Vec::new(),
+            },
+            DeviceClass::Vsock => match self.vsocks.get(&d) {
+                Some(c) if !c.connected => vec![format!("vsock of {owner} is disconnected")],
+                Some(c) if c.port != crate::vsock::vsock_port_for(owner) => vec![format!(
+                    "vsock of {owner} on non-deterministic port {} (expected {})",
+                    c.port,
+                    crate::vsock::vsock_port_for(owner)
+                )],
+                _ => Vec::new(),
+            },
+            DeviceClass::Usb => {
+                let Some(u) = self.usbs.get(&(d, i)) else {
+                    return Vec::new();
+                };
+                let mut v = Vec::new();
+                if !u.attached {
+                    v.push(format!("usb {owner}/{i} is detached"));
+                }
+                if !self.usb_busid_exclusive(&u.busid, owner, i) {
+                    v.push(format!(
+                        "usb busid {} held by more than one domain (exclusive assignment violated)",
+                        u.busid
+                    ));
+                }
+                v
+            }
+        }
     }
 
     /// Attaches a trace sink (disabled by default); device-clone spans and
@@ -272,10 +390,8 @@ impl DeviceManager {
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
-        udev: &mut UdevBus,
         dom: DomId,
     ) -> Result<()> {
-        let _ = udev;
         let ring_pfn = hv.domain(dom)?.console_pfn;
         let dir = console_dir(dom);
         xs.write(DomId::DOM0, &format!("{dir}/ring-ref"), &ring_pfn.0.to_string())?;
@@ -284,31 +400,14 @@ impl DeviceManager {
         xs.write(DomId::DOM0, &format!("{dir}/output"), "pty")?;
         self.clock.advance(self.costs.console_attach);
         self.console.attach(dom, ring_pfn);
-        self.bus.register(Rc::new(ConsoleDev { dom }));
         Ok(())
     }
 
-    /// Clone-path console setup: only the Xenstore entries are cloned; the
-    /// managing process picks the change up via its watch and creates the
-    /// child state with a fresh ring (§4.2, §5.2.1).
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    pub fn clone_console(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        parent: DomId,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<()> {
-        self.clone_console_impl(hv, xs, parent, child, deep_copy)
-    }
-
-    /// The console clone implementation; [`bus::ConsoleDev::clone_into`]
-    /// and the deprecated direct entry point both land here, so the two
-    /// paths charge identical virtual time and record identical spans.
+    /// Clone-path console setup ([`Self::clone_device`] dispatches here):
+    /// only the Xenstore entries are cloned; the managing process picks the
+    /// change up via its watch and creates the child state with a fresh
+    /// ring (§4.2, §5.2.1) — the [`class::CloneSemantics::Reconnect`]
+    /// heuristic.
     pub(crate) fn clone_console_impl(
         &mut self,
         hv: &mut Hypervisor,
@@ -334,7 +433,6 @@ impl DeviceManager {
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
         self.console.attach_clone(parent, child, ring_pfn);
-        self.bus.register(Rc::new(ConsoleDev { dom: child }));
         Ok(())
     }
 
@@ -421,36 +519,16 @@ impl DeviceManager {
         };
         self.vifs.insert((dom.0, cfg.devid), vif);
         self.iface_map.insert(iface, (dom, cfg.devid));
-        self.bus.register(Rc::new(VifDev { dom, devid: cfg.devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom, devid: cfg.devid });
         Ok(iface)
     }
 
-    /// Clone-path vif setup: Xenstore state is cloned (via `xs_clone` or a
-    /// deep per-entry copy), the backend shortcuts the negotiation and the
-    /// rings are copied. Emits the udev event that prompts userspace to
-    /// enslave the new interface.
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn clone_vif(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        udev: &mut UdevBus,
-        parent: DomId,
-        child: DomId,
-        devid: u32,
-        deep_copy: bool,
-    ) -> Result<IfaceId> {
-        self.clone_vif_impl(hv, xs, udev, parent, child, devid, deep_copy)
-    }
-
-    /// The vif clone implementation shared by [`bus::VifDev::clone_into`]
-    /// and the deprecated direct entry point.
+    /// Clone-path vif setup ([`Self::clone_device`] dispatches here):
+    /// Xenstore state is cloned (via `xs_clone` or a deep per-entry copy),
+    /// the backend shortcuts the negotiation and the rings are copied — the
+    /// [`class::CloneSemantics::DeepCopy`] heuristic. Emits the udev event
+    /// that prompts userspace to enslave the new interface.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn clone_vif_impl(
         &mut self,
@@ -497,7 +575,6 @@ impl DeviceManager {
         }
         self.vifs.insert((child.0, devid), vif);
         self.iface_map.insert(iface, (child, devid));
-        self.bus.register(Rc::new(VifDev { dom: child, devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom: child, devid });
         Ok(iface)
@@ -712,29 +789,14 @@ impl DeviceManager {
         );
         self.qemus.insert(pid, QemuProcess::launch(pid, dom, export_root));
         self.served_by.insert(dom.0, pid);
-        self.bus.register(Rc::new(P9fsDev { dom }));
         Ok(())
     }
 
-    /// Clone-path 9pfs setup: Xenstore state cloned, then a QMP request to
-    /// the *parent's existing* backend process duplicates the fid table —
-    /// no new process is launched (§5.2.1).
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    pub fn clone_9pfs(
-        &mut self,
-        xs: &mut Xenstore,
-        parent: DomId,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<usize> {
-        self.clone_9pfs_impl(xs, parent, child, deep_copy)
-    }
-
-    /// The 9pfs clone implementation shared by [`bus::P9fsDev::clone_into`]
-    /// and the deprecated direct entry point.
+    /// Clone-path 9pfs setup ([`Self::clone_device`] dispatches here):
+    /// Xenstore state cloned, then a QMP request to the *parent's existing*
+    /// backend process duplicates the fid table — no new process is
+    /// launched (§5.2.1), the [`class::CloneSemantics::ShareRing`]
+    /// heuristic. Returns the number of fids duplicated.
     pub(crate) fn clone_9pfs_impl(
         &mut self,
         xs: &mut Xenstore,
@@ -763,7 +825,6 @@ impl DeviceManager {
         self.clock
             .advance(self.costs.qmp_clone_per_fid.saturating_mul(fids as u64));
         span.attr("fids", fids);
-        self.bus.register(Rc::new(P9fsDev { dom: child }));
         Ok(fids)
     }
 
@@ -822,14 +883,13 @@ impl DeviceManager {
         }
         self.clock.advance(self.costs.backend_create);
         self.vbds.insert((dom.0, devid), Vbd::new(dom, devid, sectors));
-        self.bus.register(Rc::new(BlockDev { dom, devid }));
         Ok(())
     }
 
-    /// The vbd clone implementation ([`bus::BlockDev::clone_into`]
-    /// dispatches here): Xenstore state cloned, then an O(1) structural
+    /// The vbd clone implementation ([`Self::clone_device`] dispatches
+    /// here): Xenstore state cloned, then an O(1) structural
     /// snapshot of the parent's base image and current overlay — the
-    /// [`bus::CloneSemantics::CowOverlay`] heuristic. Returns the number
+    /// [`class::CloneSemantics::CowOverlay`] heuristic. Returns the number
     /// of overlay sectors the child inherits.
     pub(crate) fn clone_vbd_impl(
         &mut self,
@@ -862,7 +922,6 @@ impl DeviceManager {
         let inherited = vbd.overlay_len() as u64;
         span.attr("inherited", inherited);
         self.vbds.insert((child.0, devid), vbd);
-        self.bus.register(Rc::new(BlockDev { dom: child, devid }));
         Ok(inherited)
     }
 
@@ -895,24 +954,16 @@ impl DeviceManager {
     /// Resident-byte split of vbd storage between shared and unique, by
     /// `Rc` pointer identity: a base image or overlay referenced by more
     /// than one device counts as shared at every point of use (the same
-    /// convention as `P2mSharing`/`XsSharing`).
+    /// convention as `P2mSharing`/`XsSharing`). The sum of
+    /// [`vbd_sharing_by_dom`](Self::vbd_sharing_by_dom)'s rows.
     pub fn vbd_sharing(&self) -> VbdSharing {
-        let mut refs: HashMap<usize, u32> = HashMap::new();
-        for v in self.vbds.values() {
-            *refs.entry(v.base_addr()).or_insert(0) += 1;
-            *refs.entry(v.overlay_addr()).or_insert(0) += 1;
-        }
-        let mut s = VbdSharing::default();
-        for v in self.vbds.values() {
-            for (addr, bytes) in [(v.base_addr(), v.base_bytes()), (v.overlay_addr(), v.overlay_bytes())] {
-                if refs.get(&addr).copied().unwrap_or(0) > 1 {
-                    s.shared_bytes += bytes;
-                } else {
-                    s.unique_bytes += bytes;
-                }
-            }
-        }
-        s
+        self.vbd_sharing_by_dom()
+            .into_iter()
+            .fold(VbdSharing::default(), |mut s, (_, row)| {
+                s.shared_bytes += row.shared_bytes;
+                s.unique_bytes += row.unique_bytes;
+                s
+            })
     }
 
     /// Per-domain split of [`vbd_sharing`](Self::vbd_sharing): each
@@ -970,14 +1021,13 @@ impl DeviceManager {
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         self.vsocks.insert(dom.0, VsockConn::connect(dom));
-        self.bus.register(Rc::new(VsockDev { dom }));
         Ok(())
     }
 
-    /// The vsock clone implementation ([`bus::VsockDev::clone_into`]
-    /// dispatches here): registry state is cloned, but the transport is a
+    /// The vsock clone implementation ([`Self::clone_device`] dispatches
+    /// here): registry state is cloned, but the transport is a
     /// *fresh* connection on the child's deterministically reallocated
-    /// port — the [`bus::CloneSemantics::Reconnect`] heuristic. Returns
+    /// port — the [`class::CloneSemantics::Reconnect`] heuristic. Returns
     /// the child's port.
     pub(crate) fn clone_vsock_impl(
         &mut self,
@@ -1014,7 +1064,6 @@ impl DeviceManager {
         self.clock.advance(self.costs.vsock_connect);
         span.attr("port", port);
         self.vsocks.insert(child.0, conn);
-        self.bus.register(Rc::new(VsockDev { dom: child }));
         Ok(port)
     }
 
@@ -1066,15 +1115,14 @@ impl DeviceManager {
         }
         self.clock.advance(self.costs.usb_attach);
         self.usbs.insert((dom.0, devid), UsbPassthrough::attach(dom, devid, busid));
-        self.bus.register(Rc::new(UsbDev { dom, devid }));
         Ok(())
     }
 
-    /// The USB clone step ([`bus::UsbDev::clone_into`] dispatches here):
-    /// the physical device is exclusive, so the child comes up *without*
-    /// it — no Xenstore state, no backend state, no bus registration —
+    /// The USB clone step ([`Self::clone_device`] dispatches here): the
+    /// physical device is exclusive, so the child comes up *without* it —
+    /// no Xenstore state and no backend state, so no device entry —
     /// while the parent keeps it attached. This is the whole of
-    /// [`bus::CloneSemantics::DetachOnClone`].
+    /// [`class::CloneSemantics::DetachOnClone`].
     pub(crate) fn clone_usb_detach_impl(
         &mut self,
         parent: DomId,
@@ -1184,7 +1232,6 @@ impl DeviceManager {
         for key in Self::owned_range(&self.usbs, dom) {
             self.usbs.remove(&key);
         }
-        self.bus.forget_domain(dom);
     }
 
     /// The `(owner, devid)` keys `dom` holds in a device map — one
@@ -1354,8 +1401,8 @@ mod tests {
 
     #[test]
     fn console_boot_and_clone() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        let (mut hv, mut xs, mut dm, _udev, dom) = setup();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         dm.console_write(dom, b"booted\n");
         assert_eq!(dm.console_output(dom), b"booted\n");
 
@@ -1396,7 +1443,7 @@ mod tests {
     fn forget_domain_cleans_everything() {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
         udev.drain();
         dm.forget_domain(&mut udev, dom);
@@ -1411,43 +1458,37 @@ mod tests {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         let before = dm.dom0_backend_bytes();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         assert!(dm.dom0_backend_bytes() > before);
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_bus_implementations() {
+    fn devices_reflect_boot_and_clone_state() {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
-        let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_console(&mut hv, &mut xs, dom, child, false).unwrap();
-        dm.clone_vif(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
-        dm.clone_9pfs(&mut xs, dom, child, false).unwrap();
-        assert!(dm.console_attached(child));
-        assert!(dm.vif(child, 0).is_some());
-        assert!(dm.p9_served(child));
-        assert_eq!(dm.bus_devices(child).len(), 3, "shims register bus entries too");
-    }
+        dm.setup_vbd_boot(&mut xs, dom, 0, 8).unwrap();
+        let expected = vec![
+            DeviceId::new(DeviceClass::Console, 0),
+            DeviceId::new(DeviceClass::Vif, 0),
+            DeviceId::new(DeviceClass::P9fs, 0),
+            DeviceId::new(DeviceClass::Vbd, 0),
+        ];
+        assert_eq!(dm.devices(dom), expected, "dispatch order is console, vif, 9pfs, vbd");
 
-    #[test]
-    fn bus_reflects_boot_and_clone_registrations() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
-        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
-        let classes: Vec<bus::DeviceClass> =
-            dm.bus_devices(dom).iter().map(|d| d.id().class).collect();
-        assert_eq!(
-            classes,
-            vec![bus::DeviceClass::Console, bus::DeviceClass::Vif, bus::DeviceClass::P9fs],
-            "dispatch order is console, vif, 9pfs"
-        );
+        let child = hv.create_domain("child", 4, 1).unwrap();
+        for id in dm.devices(dom) {
+            dm.clone_device(&mut hv, &mut xs, &mut udev, dom, child, id, false).unwrap();
+        }
+        assert_eq!(dm.devices(child), expected, "a clone holds the same devices");
+        let all: Vec<DomId> = dm.all_devices().into_iter().map(|(d, _)| d).collect();
+        assert_eq!(all, [[dom; 4], [child; 4]].concat(), "sorted by owner");
+
         udev.drain();
         dm.forget_domain(&mut udev, dom);
-        assert!(dm.bus().is_empty(), "forget_domain clears bus registrations");
+        assert!(dm.devices(dom).is_empty(), "forget_domain drops every device");
+        assert_eq!(dm.devices(child), expected, "the clone's devices survive");
     }
 
     #[test]
@@ -1507,7 +1548,7 @@ mod tests {
         dm.clone_usb_detach_impl(dom, child, 0).unwrap();
         assert!(dm.usb(child, 0).is_none(), "child comes up without the device");
         assert!(dm.usb(dom, 0).unwrap().attached, "parent keeps it");
-        assert!(!dm.bus().contains(child, bus::DeviceId::new(bus::DeviceClass::Usb, 0)));
+        assert!(dm.devices(child).is_empty(), "no device entry for the child");
         assert!(dm.usb_busid_exclusive("1-1.4", dom, 0));
     }
 }

@@ -5,7 +5,7 @@
 //! time — there is no way to duplicate a scanner. This is the device
 //! class the unikernel-security survey motivates and the one the old
 //! enum-of-three second stage simply could not express: its clone
-//! heuristic is [`crate::bus::CloneSemantics::DetachOnClone`] — the
+//! heuristic is [`crate::class::CloneSemantics::DetachOnClone`] — the
 //! child comes up *without* the device (no Xenstore state, no backend
 //! state, no rings) while the parent keeps it attached.
 

@@ -37,14 +37,16 @@
 //!     checkpoint-time layout, and every slot where the current overlay
 //!     diverges from the checkpoint snapshot must be journaled — a
 //!     divergence the journal misses is state `clone_reset` would leak.
-//! 11. **Device bus vs the Xenstore device tree.** Every registered bus
-//!     device has a live owner and all of its Xenstore nodes present,
-//!     every device node is claimed by exactly one registered device,
-//!     no live domain's device node exists without a registered owner
-//!     (no orphan rings after detach-on-clone; dead domains' stale
-//!     backend entries are legacy destroy behavior pinned by the
+//! 11. **Device model vs the Xenstore device tree.** Every device the
+//!     device model holds
+//!     ([`DeviceManager::all_devices`](devices::DeviceManager::all_devices))
+//!     has a live owner and all of its Xenstore nodes present, no live
+//!     domain's device node exists without a device that owns it (no
+//!     orphan rings after detach-on-clone; dead domains' stale backend
+//!     entries are legacy destroy behavior pinned by the
 //!     determinism-gated figures), and each device's own invariants
-//!     ([`CloneDevice::audit`](crate::CloneDevice::audit)) hold.
+//!     ([`DeviceManager::audit_device`](devices::DeviceManager::audit_device))
+//!     hold.
 //! 12. **Scan-replacing indices vs the scans they replaced.** The hot
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
@@ -60,7 +62,7 @@
 //! run on demand, after every clone/destroy in debug builds, and after
 //! every lifecycle operation under `NEPHELE_AUDIT=every-op`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use hypervisor::domain::DomainState;
@@ -533,26 +535,24 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
-    // 11. Device bus vs the Xenstore device tree. First pass: every
-    // registered device has a live owner, its nodes exist, and its own
-    // invariants hold; each node is claimed by exactly one device.
-    let mut claimed: BTreeMap<String, u32> = BTreeMap::new();
-    for dev in p.dm.bus().all() {
+    // 11. Device model vs the Xenstore device tree. First pass: every
+    // device has a live owner, its nodes exist, and its own invariants
+    // hold.
+    let mut claimed: BTreeSet<String> = BTreeSet::new();
+    for (owner, id) in p.dm.all_devices() {
         report.checks += 1;
-        let id = dev.id();
-        let owner = dev.owner();
         if !hv.domain_exists(owner) {
             report.violations.push(AuditViolation {
                 invariant: "device-bus",
                 detail: format!(
-                    "{} {} registered on the bus for dead {owner}",
+                    "{} {} held in the device model for dead {owner}",
                     id.class.name(),
                     id.devid
                 ),
             });
             continue;
         }
-        for path in dev.xenstore_paths() {
+        for path in id.xenstore_paths(owner) {
             report.checks += 1;
             if !p.xs.exists(&path) {
                 report.violations.push(AuditViolation {
@@ -564,22 +564,16 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
                     ),
                 });
             }
-            *claimed.entry(path).or_default() += 1;
+            claimed.insert(path);
         }
-        for detail in dev.audit(&p.dm, &p.xs) {
+        for detail in p.dm.audit_device(owner, id) {
             report.violations.push(AuditViolation { invariant: "device-bus", detail });
         }
     }
-    for (path, n) in claimed.iter().filter(|(_, n)| **n > 1) {
-        report.violations.push(AuditViolation {
-            invariant: "device-bus",
-            detail: format!("Xenstore node {path} claimed by {n} bus devices"),
-        });
-    }
 
     // Second pass: walk the actual device nodes (frontends per live
-    // domain, backends under Dom0) — each must belong to a registered
-    // device. An unclaimed node is an orphan: exactly what a buggy
+    // domain, backends under Dom0) — each must belong to a device in the
+    // device model. An unclaimed node is an orphan: exactly what a buggy
     // detach-on-clone would leave behind. The backend walk is scoped to
     // live domains: the legacy toolstack leaves a destroyed domain's
     // backend entries in place, and the determinism-gated figures pin
@@ -619,10 +613,10 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
     for node in device_nodes {
         report.checks += 1;
-        if !claimed.contains_key(&node) {
+        if !claimed.contains(&node) {
             report.violations.push(AuditViolation {
                 invariant: "device-bus",
-                detail: format!("device node {node} has no registered bus device (orphan)"),
+                detail: format!("device node {node} belongs to no device (orphan)"),
             });
         }
     }

@@ -16,11 +16,13 @@
 //! assert_eq!(kids.len(), 2);
 //! ```
 //!
-//! Devices hang off a uniform bus: every live device registers on the
-//! [`DeviceBus`] declaring its identity ([`DeviceId`]) and its clone
-//! heuristic ([`CloneSemantics`], paper §4.2); the cloning daemon's
-//! second stage dispatches through [`CloneDevice::clone_into`], and
-//! which classes follow a clone is a per-class [`ClonePolicy`]:
+//! The device model is the one device registry: each live device is
+//! named by a [`DeviceId`] (class + device index), and its
+//! [`DeviceClass`] declares its clone heuristic ([`CloneSemantics`],
+//! paper §4.2). The cloning daemon's second stage walks the parent's
+//! devices ([`devices::DeviceManager::devices`]) and dispatches each on
+//! its class ([`devices::DeviceManager::clone_device`]); which classes
+//! follow a clone is a per-class [`ClonePolicy`]:
 //!
 //! ```
 //! use nephele::{ClonePolicy, CloneSemantics, DeviceClass, Platform, PlatformConfig};
@@ -76,15 +78,11 @@ pub use platform::{
     PlatformSnapshot, //
 };
 
-// The device bus: the uniform per-device clone-semantics surface (see
-// the crate-level example).
-pub use devices::bus::{
-    CloneCtx,
-    CloneDevice,
-    CloneOutcome,
+// Device classes and their clone semantics (see the crate-level
+// example).
+pub use devices::class::{
     ClonePolicy,
     CloneSemantics,
-    DeviceBus,
     DeviceClass,
     DeviceId, //
 };

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use devices::bus::ClonePolicy;
+use devices::class::ClonePolicy;
 use devices::udev::UdevBus;
 use devices::{DevError, DeviceManager};
 use guest::{ForkOutcome, GuestAction, GuestApp, GuestEnv, GuestHeap, HOST_MAC};

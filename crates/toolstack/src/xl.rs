@@ -272,7 +272,7 @@ impl Xl {
         cfg: &DomainConfig,
         layout: &GuestLayout,
     ) -> Result<Vec<IfaceId>> {
-        dm.setup_console_boot(hv, xs, udev, dom)?;
+        dm.setup_console_boot(hv, xs, dom)?;
         let mut ifaces = Vec::new();
         for (i, vif) in cfg.vifs.iter().enumerate() {
             let base = layout.dev_region_start.0 + i as u64 * PAGES_PER_VIF;

@@ -26,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-use devices::bus::{CloneCtx, ClonePolicy, DeviceClass};
+use devices::class::ClonePolicy;
 use devices::udev::{UdevBus, UdevEvent};
 use devices::{DevError, DeviceManager};
 use hypervisor::cloneop::CloneOp;
@@ -111,13 +111,6 @@ impl Default for XenclonedConfig {
             policy: ClonePolicy::all(),
             minimal: false,
         }
-    }
-}
-
-impl XenclonedConfig {
-    /// Whether the second stage clones devices of `class`.
-    pub fn device_enabled(&self, class: DeviceClass) -> bool {
-        self.policy.clones(class)
     }
 }
 
@@ -292,27 +285,18 @@ impl Xencloned {
                 }
             }
 
-            // Devices: one loop over the parent's bus entries, dispatched
-            // through each device's declared clone semantics (steps
-            // 2.1–2.3). The bus sorts by (class, devid), so consoles clone
-            // first, then vifs by device index, then 9pfs — the same order
-            // the legacy hand-enumerated stage used.
+            // Devices: one loop over the parent's devices, each cloned by
+            // its class's declared semantics (steps 2.1–2.3). The list is
+            // sorted by (class, devid), so consoles clone first, then vifs
+            // by device index, then 9pfs — the same order the historical
+            // hand-enumerated stage used.
             let deep_copy = !self.config.use_xs_clone;
-            for dev in dm.bus_devices(parent) {
-                if !self.config.device_enabled(dev.id().class) {
+            for id in dm.devices(parent) {
+                if !self.config.policy.clones(id.class) {
                     continue;
                 }
-                let mut ctx = CloneCtx {
-                    parent,
-                    child,
-                    deep_copy,
-                    hv,
-                    xs,
-                    udev,
-                    dm,
-                };
-                let outcome = dev.as_ref().clone_into(&mut ctx)?;
-                ifaces.extend(outcome.ifaces);
+                let iface = dm.clone_device(hv, xs, udev, parent, child, id, deep_copy)?;
+                ifaces.extend(iface);
             }
 
             // Userspace follow-ups for the udev events (step 2.3) —
@@ -353,6 +337,7 @@ impl Xencloned {
 mod tests {
     use std::net::Ipv4Addr;
 
+    use devices::class::DeviceClass;
     use devices::udev::UdevBus;
     use hypervisor::domain::DomainState;
     use hypervisor::MachineConfig;

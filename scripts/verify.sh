@@ -159,7 +159,7 @@ awk -v base="$(reset_median scripts/bench_baselines/BENCH_clone_reset.json)" \
     }
 }'
 
-echo "== cargo check with all warnings denied (including deprecated getters and clone shims)"
+echo "== cargo check with all warnings denied (including deprecated items)"
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets --offline
 
 echo "== scripts/bench_gate.sh (this run's medians vs checked-in baselines)"
@@ -171,12 +171,14 @@ if scripts/bench_gate.sh scripts/fixtures/regressed >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "== figure determinism gate (fig4/fig5/fig6/fig7/fig9 CSVs must be byte-identical)"
-# Neither the COW Xenstore, the p2m overlay rework, nor the device-bus
-# dispatch may perturb any virtual-time figure: re-run the key figures
+echo "== figure determinism gate (fig4-fig11, fig10scale and ablation CSVs must be byte-identical)"
+# Neither the COW Xenstore, the p2m overlay rework, nor the per-class
+# device dispatch may perturb any virtual-time figure: re-run the figures
 # with the committed seeds and diff stdout against the checked-in CSVs.
-# fig4/fig7 embed span aggregates, so they reproduce only with tracing
-# enabled; fig5/fig6/fig9 run without it.
+# fig4/fig7/fig8 embed span aggregates, so they reproduce only with
+# tracing enabled; the others run without it. fig8 and ablation clone
+# with a device class disabled, and ablation also runs the deep-copy
+# device path.
 detgate() {
     local fig="$1" trace="$2" out
     out="$(mktemp)"
@@ -216,8 +218,12 @@ detgate fig4 trace
 detgate fig5 notrace
 detgate fig6 notrace
 detgate fig7 trace
+detgate fig8 trace
 detgate fig9 notrace
+detgate fig10 notrace
+detgate fig11 notrace
 detgate fig10scale notrace
+detgate ablation notrace
 
 echo "== scale100k (10^5 concurrently live clones, churn, and policy replay must complete)"
 # The acceptance run for the density work: ramping to 100 000 live

@@ -1,14 +1,14 @@
-//! Property suite for the device bus (§4.2).
+//! Property suite for per-class device cloning (§4.2).
 //!
-//! 1. **Bus dispatch ≡ legacy hand-enumeration.** For random mixes of the
-//!    legacy device trio (console + 0..=2 vifs + optional 9pfs) and a
+//! 1. **Class dispatch ≡ legacy hand-enumeration.** For random mixes of
+//!    the legacy device trio (console + 0..=2 vifs + optional 9pfs) and a
 //!    random number of clones, a world whose second stage runs through
-//!    `xencloned`'s bus loop must be indistinguishable — identical
+//!    `xencloned`'s device loop must be indistinguishable — identical
 //!    virtual-clock advance, identical Xenstore tree, identical device
-//!    state — from a world whose second stage is replayed by hand with
-//!    the deprecated per-class entry points in the historical order. The
-//!    new devices (vbd/vsock/usb) have no legacy entry points by design,
-//!    so they are covered by their own properties below.
+//!    state — from a world whose second stage is replayed by hand,
+//!    cloning explicitly named devices in the historical order. The
+//!    newer devices (vbd/vsock/usb) were never part of that order, so
+//!    they are covered by their own properties below.
 //! 2. **COW block overlays.** Clone families share one base image;
 //!    writes diverge per clone and never leak across members.
 //! 3. **Vsock reconnect.** Every clone comes up on its own
@@ -30,7 +30,7 @@ use nephele::sim_core::{Clock, CostModel, DomId};
 use nephele::toolstack::{DomainConfig, KernelImage, Xl};
 use nephele::xencloned::Xencloned;
 use nephele::xenstore::{XsCloneOp, Xenstore};
-use nephele::{AuditMode, Platform, PlatformConfig};
+use nephele::{AuditMode, DeviceClass, DeviceId, Platform, PlatformConfig};
 use testkit::prop::{check, ranges};
 
 // ---------------------------------------------------------------------
@@ -95,8 +95,8 @@ fn boot(w: &mut World, cfg: &DomainConfig) -> DomId {
 }
 
 /// Replays the legacy hand-enumerated second stage for one pending
-/// notification: the exact op-for-op sequence `xencloned` ran before the
-/// bus existed, using the deprecated per-class entry points.
+/// notification: the exact op-for-op sequence `xencloned` ran before it
+/// derived the device list, naming each device by hand.
 fn legacy_stage2(w: &mut World, first_clone: bool, seq: u32, nvifs: u64, p9: bool) -> DomId {
     let n = w.hv.clone_ring_pop().expect("pending notification");
     let (parent, child) = (n.parent, n.child);
@@ -123,24 +123,18 @@ fn legacy_stage2(w: &mut World, first_clone: bool, seq: u32, nvifs: u64, p9: boo
     }
 
     // The historical order: console, then vifs by devid, then 9pfs.
-    #[allow(deprecated)]
-    {
-        w.dm.clone_console(&mut w.hv, &mut w.xs, parent, child, false).unwrap();
+    let mut order = vec![DeviceId::new(DeviceClass::Console, 0)];
+    order.extend((0..nvifs as u32).map(|devid| DeviceId::new(DeviceClass::Vif, devid)));
+    if p9 {
+        order.push(DeviceId::new(DeviceClass::P9fs, 0));
     }
     let mut ifaces = Vec::new();
-    for devid in 0..nvifs as u32 {
-        #[allow(deprecated)]
+    for id in order {
         let iface = w
             .dm
-            .clone_vif(&mut w.hv, &mut w.xs, &mut w.udev, parent, child, devid, false)
+            .clone_device(&mut w.hv, &mut w.xs, &mut w.udev, parent, child, id, false)
             .unwrap();
-        ifaces.push(iface);
-    }
-    if p9 {
-        #[allow(deprecated)]
-        {
-            w.dm.clone_9pfs(&mut w.xs, parent, child, false).unwrap();
-        }
+        ifaces.extend(iface);
     }
 
     for e in w.udev.drain() {
@@ -171,7 +165,7 @@ fn bus_dispatch_matches_legacy_hand_enumeration() {
         let nclones = g.draw(&ranges(1u64..4));
         let cfg = mixed_cfg(nvifs, p9);
 
-        // World A: second stage through the daemon's bus loop.
+        // World A: second stage through the daemon's device loop.
         let mut a = world();
         let pa = boot(&mut a, &cfg);
         for _ in 0..nclones {
@@ -191,8 +185,8 @@ fn bus_dispatch_matches_legacy_hand_enumeration() {
             children.push(legacy_stage2(&mut b, i == 0, i as u32 + 1, nvifs, p9));
         }
 
-        // Byte-identical virtual time: the bus charges exactly what the
-        // hand-enumerated path charged.
+        // Byte-identical virtual time: the device loop charges exactly
+        // what the hand-enumerated path charged.
         assert_eq!(
             a.clock.now(),
             b.clock.now(),
@@ -214,8 +208,8 @@ fn bus_dispatch_matches_legacy_hand_enumeration() {
                 assert_eq!(va.is_connected(), vb.is_connected());
             }
             assert_eq!(a.dm.p9_served(c), b.dm.p9_served(c));
-            // Both paths registered the child's devices on the bus.
-            assert_eq!(a.dm.bus_devices(c).len(), b.dm.bus_devices(c).len());
+            // Both paths gave the child the same devices.
+            assert_eq!(a.dm.devices(c), b.dm.devices(c));
         }
     });
 }
