@@ -15,6 +15,15 @@
 //! ops (clone_domain and destroy) at the given density — the pool always
 //! returns to its ramped size between iterations.
 //!
+//! The `family` groups hold the live-domain count fixed and vary the size
+//! of one clone family instead: a single platform carries 10^5 live clones
+//! of template A and 10^2 of template B, and each group times the same
+//! step on one template — clone 16, then destroy that family's 16 oldest
+//! (FIFO, as perfbench's `clone_churn` does). A destroy must not cost
+//! O(surviving siblings); `scripts/verify.sh` asserts the 10^5-sibling
+//! median stays within 2x of the 10^2-sibling one (a per-parent child list
+//! scanned on every destroy made it ~5x).
+//!
 //! The `pump_density` groups pin the data path the same way: one
 //! `host_udp_send` round trip to a UDP echo family behind the bond, at 30
 //! and at 3 000 members. The network pump services only the vifs with
@@ -23,13 +32,14 @@
 //! median stays within 2x of the 30-member median (a pump probing every
 //! live vif's rings each round made it ~250x).
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use testkit::bench::Bench;
 
 use nephele::apps::UdpEchoApp;
 use nephele::netmux::SockEvent;
-use nephele::sim_core::SimDuration;
+use nephele::sim_core::{DomId, SimDuration};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, MuxKind, Platform, PlatformConfig};
 
@@ -37,9 +47,14 @@ use nephele::{AuditMode, MuxKind, Platform, PlatformConfig};
 /// dominate; the point is the density of the surrounding pool).
 const BATCH: u32 = 16;
 
+/// Family sizes of the `family` groups: template A's and template B's live
+/// clones, all in one platform.
+const FAMILY_A: u32 = 100_000;
+const FAMILY_B: u32 = 100;
+
 /// Builds a platform pre-ramped to `live` live vif-less clones and
-/// returns it with the template.
-fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
+/// returns it with the template and its children, oldest first.
+fn rammed_platform(live: u32) -> (Platform, DomId, VecDeque<DomId>) {
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(((live as u64) / 4).clamp(256, 8_192))
@@ -49,23 +64,35 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
             .audit(AuditMode::Off)
             .build(),
     );
-    let cfg = DomainConfig::builder("density-tmpl")
+    let template = launch_template(&mut p, "density-tmpl");
+    let children = ramp(&mut p, template, live);
+    (p, template, children)
+}
+
+/// Boots a 4 MiB vif-less template named `name` that may clone without
+/// limit.
+fn launch_template(p: &mut Platform, name: &str) -> DomId {
+    let cfg = DomainConfig::builder(name)
         .memory_mib(4)
         .max_clones(u32::MAX)
         .resume_clones(false)
         .build();
-    let template = p
-        .launch_plain(&cfg, &KernelImage::unikraft("density-fn"))
-        .expect("template boot");
-    let mut made = 0u32;
-    while made < live {
-        let want = (live - made).min(500);
+    p.launch_plain(&cfg, &KernelImage::unikraft("density-fn"))
+        .expect("template boot")
+}
+
+/// Clones `template` `live` times, in batches of up to 500, and returns
+/// the children oldest first.
+fn ramp(p: &mut Platform, template: DomId, live: u32) -> VecDeque<DomId> {
+    let mut children = VecDeque::with_capacity(live as usize + BATCH as usize);
+    while (children.len() as u32) < live {
+        let want = (live - children.len() as u32).min(500);
         let kids = p.clone_domain(template, want).expect("ramp clone");
         assert_eq!(kids.len() as u32, want, "pool exhausted during ramp");
-        made += want;
+        children.extend(kids);
         p.run_for(SimDuration::from_ms(10));
     }
-    (p, template)
+    children
 }
 
 /// The echo family's shared service address and port.
@@ -124,7 +151,7 @@ fn main() {
         // One ramp per density, shared across samples: each iteration
         // clones a batch and destroys it again, leaving the pool at its
         // ramped size.
-        let (mut p, template) = rammed_platform(live);
+        let (mut p, template, _) = rammed_platform(live);
         g.bench_function("clone_destroy_batch16", |b| {
             b.iter(|| {
                 let kids = p.clone_domain(template, BATCH).expect("timed clone");
@@ -145,6 +172,28 @@ fn main() {
             b.iter(|| {
                 port = (port + 1) % 512;
                 assert_eq!(request(&mut p, 20_000 + port), 1, "request unanswered");
+            })
+        });
+        g.finish();
+    }
+    // One platform for both family groups, so the live-domain count is the
+    // same and only the family size differs. Each step clones 16 and then
+    // destroys the family's 16 oldest, keeping the family at its size. The
+    // groups run last so that the ones above keep their process state.
+    let (mut p, a, family_a) = rammed_platform(FAMILY_A);
+    let b = launch_template(&mut p, "family-b-tmpl");
+    let family_b = ramp(&mut p, b, FAMILY_B);
+    for (template, mut family) in [(a, family_a), (b, family_b)] {
+        let mut g = c.benchmark_group(&format!("family_{}", family.len()));
+        g.sample_size(20);
+        g.bench_function("clone_destroy_oldest16", |bench| {
+            bench.iter(|| {
+                let kids = p.clone_domain(template, BATCH).expect("timed clone");
+                family.extend(kids);
+                for _ in 0..BATCH {
+                    let oldest = family.pop_front().expect("family outlives the batch");
+                    p.destroy(oldest).expect("timed destroy");
+                }
             })
         });
         g.finish();

@@ -110,7 +110,8 @@ pub enum P9Response {
 pub struct P9Backend {
     export_root: String,
     /// Fids keyed by (client domain, fid): one process serves the whole
-    /// clone family, so the table is namespaced per domain.
+    /// clone family, so the table is namespaced per domain, and per-domain
+    /// operations read one key range rather than the family's every fid.
     fids: BTreeMap<(u32, Fid), FidState>,
 }
 
@@ -130,7 +131,7 @@ impl P9Backend {
 
     /// Number of fids currently held by `dom`.
     pub fn fid_count(&self, dom: DomId) -> usize {
-        self.fids.keys().filter(|(d, _)| *d == dom.0).count()
+        self.fids.range((dom.0, 0)..=(dom.0, Fid::MAX)).count()
     }
 
     /// Total fids across all clients.
@@ -272,8 +273,7 @@ impl P9Backend {
     pub fn clone_fids(&mut self, parent: DomId, child: DomId) -> usize {
         let cloned: Vec<((u32, Fid), FidState)> = self
             .fids
-            .iter()
-            .filter(|((d, _), _)| *d == parent.0)
+            .range((parent.0, 0)..=(parent.0, Fid::MAX))
             .map(|((_, f), st)| ((child.0, *f), st.clone()))
             .collect();
         let n = cloned.len();
@@ -283,7 +283,9 @@ impl P9Backend {
 
     /// Drops every fid of a destroyed domain.
     pub fn forget_domain(&mut self, dom: DomId) {
-        self.fids.retain(|(d, _), _| *d != dom.0);
+        while let Some((&key, _)) = self.fids.range((dom.0, 0)..=(dom.0, Fid::MAX)).next() {
+            self.fids.remove(&key);
+        }
     }
 }
 
@@ -412,6 +414,25 @@ mod tests {
         be.forget_domain(D);
         assert_eq!(be.fid_count(D), 0);
         assert_eq!(be.fid_count(C), 1, "family members unaffected");
+    }
+
+    #[test]
+    fn per_domain_ops_stay_inside_the_domains_key_range() {
+        let (mut fs, mut be) = setup();
+        let (below, above) = (DomId(D.0 - 1), DomId(D.0 + 1));
+        for dom in [below, D, above] {
+            for fid in [0, Fid::MAX] {
+                assert_eq!(be.handle(&mut fs, dom, P9Request::Attach { fid }), P9Response::Ok);
+            }
+        }
+        assert_eq!(be.fid_count(D), 2);
+        assert_eq!(be.clone_fids(D, C), 2);
+        assert_eq!(be.fid_count(C), 2);
+        assert_eq!(be.handle(&mut fs, C, P9Request::Clunk { fid: Fid::MAX }), P9Response::Ok);
+        be.forget_domain(D);
+        assert_eq!(be.fid_count(D), 0);
+        assert_eq!((be.fid_count(below), be.fid_count(above)), (2, 2), "neighbours untouched");
+        assert_eq!(be.total_fids(), 5);
     }
 
     #[test]

@@ -493,7 +493,6 @@ impl Hypervisor {
                 console_pfn,
                 clone_policy: policy,
                 clones_created: 0,
-                children: Vec::new(),
                 pending_stage2: 0,
                 grants: child_grants,
                 evtchn: child_evtchn,
@@ -515,7 +514,6 @@ impl Hypervisor {
         // Parent bookkeeping: paused until every second stage completes.
         {
             let p = self.domain_mut(parent_id).expect("parent snapshotted above");
-            p.children.extend_from_slice(&children);
             p.clones_created += nr;
             p.pending_stage2 += nr;
             p.state = DomainState::PausedForClone;
@@ -695,7 +693,7 @@ impl Hypervisor {
 mod tests {
     use std::rc::Rc;
 
-    use sim_core::{Clock, CostModel};
+    use sim_core::{Clock, CostModel, TraceMode, TraceSink};
 
     use super::*;
     use crate::domain::ClonePolicy;
@@ -925,6 +923,40 @@ mod tests {
         assert!(hv.same_family(g, p));
         let unrelated = hv.create_domain("other", 4, 1).unwrap();
         assert!(!hv.same_family(g, unrelated));
+    }
+
+    #[test]
+    fn destroying_the_oldest_clone_leaves_the_family_intact() {
+        let mut hv = hv();
+        let sink = TraceSink::new(hv.clock().clone(), TraceMode::Aggregate);
+        hv.attach_trace(sink);
+        let p = cloneable_guest(&mut hv, 4);
+        let kids = do_clone(&mut hv, p, 3);
+        let live = |hv: &Hypervisor| {
+            hv.trace()
+                .family_rows()
+                .into_iter()
+                .find(|r| r.family == p.0 && r.metric == "members_live")
+                .expect("the template roots a family")
+                .value
+        };
+        let d = hv.domain(p).unwrap();
+        let (created, pending, before) = (d.clones_created, d.pending_stage2, live(&hv));
+        hv.destroy_domain(kids[0]).unwrap();
+        let survivors: Vec<DomId> = hv
+            .domains()
+            .filter(|d| d.parent == Some(p))
+            .map(|d| d.id)
+            .collect();
+        assert_eq!(survivors, kids[1..]);
+        for &k in &survivors {
+            assert!(hv.is_descendant(k, p));
+            assert!(hv.same_family(k, p));
+        }
+        assert!(hv.same_family(survivors[0], survivors[1]));
+        assert_eq!(hv.domain(p).unwrap().clones_created, created);
+        assert_eq!(hv.domain(p).unwrap().pending_stage2, pending);
+        assert_eq!(live(&hv), before - 1);
     }
 
     #[test]

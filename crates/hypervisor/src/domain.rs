@@ -99,6 +99,12 @@ pub struct Checkpoint {
 }
 
 /// The simulator's `struct domain`.
+///
+/// [`parent`](Self::parent) is the only clone-family link: a domain's
+/// children are the live domains whose `parent` names it. No child list
+/// is kept, so a destroy costs nothing per surviving sibling. Destroying a
+/// parent leaves its children's links in place, and a reused domid can
+/// then inherit them, as it can for [`Hypervisor::same_family`](crate::Hypervisor::same_family).
 #[derive(Debug, Clone)]
 pub struct Domain {
     /// Domain identifier.
@@ -106,7 +112,7 @@ pub struct Domain {
     /// Domain name (managed by the toolstack; `xencloned` generates unique
     /// clone names without the O(n) validation scan).
     pub name: String,
-    /// Parent domain for clones.
+    /// Parent domain for clones; `None` for a family root.
     pub parent: Option<DomId>,
     /// Lifecycle state.
     pub state: DomainState,
@@ -133,8 +139,6 @@ pub struct Domain {
     pub clone_policy: ClonePolicy,
     /// Total clones created by this domain so far.
     pub clones_created: u32,
-    /// Live children.
-    pub children: Vec<DomId>,
     /// Children whose second stage has not completed yet.
     pub pending_stage2: u32,
     /// Grant table.

@@ -261,7 +261,6 @@ impl Hypervisor {
             console_pfn,
             clone_policy: ClonePolicy::default(),
             clones_created: 0,
-            children: Vec::new(),
             pending_stage2: 0,
             grants: Default::default(),
             evtchn: Default::default(),
@@ -381,14 +380,9 @@ impl Hypervisor {
         self.clock
             .advance(self.costs.mem_free_per_page.saturating_mul(freed));
 
-        // Unlink from the family tree and the CHILD fan-out registry —
-        // the reverse indices make both O(the domain's own bindings),
-        // not O(every binding ever registered).
-        if let Some(parent) = dom.parent {
-            if let Some(p) = self.domains.get_mut(&parent.0) {
-                p.children.retain(|c| *c != id);
-            }
-        }
+        // Unregister from the CHILD fan-out registry — the reverse
+        // indices make this O(the domain's own bindings), not O(every
+        // binding ever registered).
         if let Some(memberships) = self.binding_memberships.remove(&id.0) {
             for (key, seq) in memberships {
                 if let Some(targets) = self.child_bindings.get_mut(&key) {

@@ -125,7 +125,7 @@ fn cow_matches_reference_model() {
                     let idx = 1 + dom_idx % (doms.len() - 1);
                     let dom = doms[idx];
                     // Only destroy leaves to keep the family tree simple.
-                    if hv.domain(dom).unwrap().children.is_empty() {
+                    if !hv.domains().any(|d| d.parent == Some(dom)) {
                         hv.destroy_domain(dom).unwrap();
                         doms.remove(idx);
                         model.retain(|(d, _), _| *d != dom.0);
@@ -189,7 +189,7 @@ fn refcounts_and_no_leaks() {
         while doms.len() > 1 {
             let leaf_idx = doms
                 .iter()
-                .position(|d| hv.domain(*d).unwrap().children.is_empty())
+                .position(|d| !hv.domains().any(|c| c.parent == Some(*d)))
                 .expect("a leaf always exists");
             let dom = doms.remove(leaf_idx);
             if dom != root {

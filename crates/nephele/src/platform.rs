@@ -1393,8 +1393,13 @@ mod tests {
             )
             .unwrap();
         // on_boot requested fork(2); processed synchronously.
-        assert_eq!(p.hv.domain(dom).unwrap().children.len(), 2);
-        let kids = p.hv.domain(dom).unwrap().children.clone();
+        let kids: Vec<DomId> = p
+            .hv
+            .domains()
+            .filter(|d| d.parent == Some(dom))
+            .map(|d| d.id)
+            .collect();
+        assert_eq!(kids.len(), 2);
         for k in &kids {
             assert!(p.has_guest(*k), "child slot created");
             assert!(p.hv.domain(*k).unwrap().is_runnable());

@@ -29,7 +29,12 @@ fn main() {
     let master = platform
         .launch(&config, &KernelImage::unikraft("nginx"), Box::new(NginxApp::new(4)))
         .expect("boot");
-    let workers = platform.hv.domain(master).unwrap().children.clone();
+    let workers: Vec<_> = platform
+        .hv
+        .domains()
+        .filter(|d| d.parent == Some(master))
+        .map(|d| d.id)
+        .collect();
     println!("master {master} spawned {} workers: {workers:?}", workers.len());
     println!("bond members: {}", platform.snapshot().mux_members);
 

@@ -88,6 +88,29 @@ awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
     }
 }'
 
+echo "== family size gate (10^5-sibling clone+destroy-oldest median <= 2x the 10^2-sibling median)"
+# The same contract on the other axis: both families live in one
+# platform, so the live-domain count is equal and only the family size
+# differs. A destroy must not scan its surviving siblings; when every
+# destroy swept the parent's list of live children, the 10^5-sibling
+# median sat at ~5x the 10^2 one.
+family_median() {
+    sed -n 's/.*"group": "family_'"$1"'", "name": "clone_destroy_oldest16".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
+        results/BENCH_clone_density.json
+}
+awk -v f100="$(family_median 100)" -v f100k="$(family_median 100000)" 'BEGIN {
+    if (f100 + 0 <= 0 || f100k + 0 <= 0) {
+        print "verify.sh: missing family medians (f100=" f100 ", f100k=" f100k ")"
+        exit 1
+    }
+    ratio = f100k / f100
+    printf "   clone+destroy-oldest batch16 median: %.0f ns in a 100-clone family vs %.0f ns in a 100000-clone family (%.2fx)\n", f100, f100k, ratio
+    if (ratio > 2.0) {
+        print "verify.sh: per-clone cost grows " ratio "x from 10^2 to 10^5 siblings (gate: 2x)"
+        exit 1
+    }
+}'
+
 echo "== pump density gate (3000-member echo family request median <= 2x the 30-member median)"
 # The ready-set pump's contract: a request's host cost must not scale
 # with the number of live vifs. When the pump probed every live vif's

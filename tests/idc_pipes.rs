@@ -118,7 +118,11 @@ fn idc_notifications_drive_guest_callbacks() {
             }),
         )
         .unwrap();
-    let child = p.hv.domain(parent).unwrap().children[0];
+    let child =
+        p.hv.domains()
+            .find(|d| d.parent == Some(parent))
+            .expect("the fork created a child")
+            .id;
 
     // The parent's post-fork write raised the IDC event channel; the
     // child's on_idc_event drained the pipe.

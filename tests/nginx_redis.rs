@@ -19,6 +19,14 @@ fn web_cfg(name: &str) -> DomainConfig {
         .build()
 }
 
+/// A domain's live children, found through the `parent` links.
+fn children(p: &Platform, parent: DomId) -> Vec<DomId> {
+    p.hv.domains()
+        .filter(|d| d.parent == Some(parent))
+        .map(|d| d.id)
+        .collect()
+}
+
 /// Issues one HTTP request from the host and returns the response body.
 fn http_get(p: &mut Platform, port: u16) -> Option<String> {
     let conn = p.host_tcp_connect(SERVICE_IP, port);
@@ -44,7 +52,7 @@ fn nginx_forks_workers_and_serves_through_bond() {
         .unwrap();
 
     // Four workers were cloned and enslaved to the bond.
-    assert_eq!(p.hv.domain(master).unwrap().children.len(), 4);
+    assert_eq!(children(&p, master).len(), 4);
     assert_eq!(p.snapshot().mux_members, 4);
 
     // Many requests; every one must be answered despite shared MAC/IP.
@@ -59,7 +67,7 @@ fn nginx_forks_workers_and_serves_through_bond() {
     assert_eq!(answered, 40);
 
     // Workers shared the load: every worker served at least one request.
-    let workers = p.hv.domain(master).unwrap().children.clone();
+    let workers = children(&p, master);
     let mut total = 0u64;
     for w in &workers {
         let served = p
@@ -81,7 +89,7 @@ fn nginx_worker_pinning() {
             Box::new(NginxApp::new(3)),
         )
         .unwrap();
-    let workers = p.hv.domain(master).unwrap().children.clone();
+    let workers = children(&p, master);
     let mut cores: Vec<usize> = workers
         .iter()
         .map(|w| p.hv.domain(*w).unwrap().vcpus[0].affinity.unwrap())
@@ -124,11 +132,7 @@ fn redis_snapshot_captures_fork_point_state() {
         .with_app::<RedisApp, u64>(dom, |app, _| app.saves_completed)
         .unwrap();
     assert_eq!(saves, 1);
-    assert_eq!(
-        p.hv.domain(dom).unwrap().children.len(),
-        0,
-        "saver exited after dumping"
-    );
+    assert_eq!(children(&p, dom).len(), 0, "saver exited after dumping");
 
     let dump = p.dm.fs.read("/export/redis/dump.rdb", 0, 1 << 20).unwrap();
     let text = String::from_utf8_lossy(&dump);

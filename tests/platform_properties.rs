@@ -77,7 +77,7 @@ fn platform_state_stays_consistent() {
                         let i = idx % live.len();
                         let d = live[i];
                         // Only leaves, to keep COW chains alive elsewhere.
-                        if p.hv.domain(d).unwrap().children.is_empty() {
+                        if !p.hv.domains().any(|c| c.parent == Some(d)) {
                             p.destroy(d).expect("destroy");
                             live.remove(i);
                         }
@@ -119,7 +119,7 @@ fn platform_state_stays_consistent() {
         while !live.is_empty() {
             let i = live
                 .iter()
-                .position(|d| p.hv.domain(*d).unwrap().children.is_empty())
+                .position(|d| !p.hv.domains().any(|c| c.parent == Some(*d)))
                 .expect("leaf exists");
             let d = live.remove(i);
             p.destroy(d).expect("teardown");
