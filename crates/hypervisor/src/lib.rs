@@ -910,6 +910,12 @@ impl Hypervisor {
         id
     }
 
+    /// The domid allocator's state: the next never-used id and the freed
+    /// ids awaiting reuse. For inspection and state comparison.
+    pub fn domid_allocator(&self) -> (u32, &BTreeSet<u32>) {
+        (self.next_domid, &self.free_domids)
+    }
+
     /// Returns a domain id to the allocator (domain destruction and the
     /// create-rollback path).
     fn release_domid(&mut self, id: u32) {

@@ -40,11 +40,10 @@
 //! 11. **Device model vs the Xenstore device tree.** Every device the
 //!     device model holds
 //!     ([`DeviceManager::all_devices`](devices::DeviceManager::all_devices))
-//!     has a live owner and all of its Xenstore nodes present, no live
-//!     domain's device node exists without a device that owns it (no
-//!     orphan rings after detach-on-clone; dead domains' stale backend
-//!     entries are legacy destroy behavior pinned by the
-//!     determinism-gated figures), and each device's own invariants
+//!     has a live owner and all of its Xenstore nodes present, no device
+//!     node exists without a device that owns it (no orphan rings after
+//!     detach-on-clone, no backend entries left behind by a destroyed
+//!     domain), and each device's own invariants
 //!     ([`DeviceManager::audit_device`](devices::DeviceManager::audit_device))
 //!     hold.
 //! 12. **Scan-replacing indices vs the scans they replaced.** The hot
@@ -574,11 +573,8 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     // Second pass: walk the actual device nodes (frontends per live
     // domain, backends under Dom0) — each must belong to a device in the
     // device model. An unclaimed node is an orphan: exactly what a buggy
-    // detach-on-clone would leave behind. The backend walk is scoped to
-    // live domains: the legacy toolstack leaves a destroyed domain's
-    // backend entries in place, and the determinism-gated figures pin
-    // that behavior (every Xenstore charge scales with the store's
-    // entry count).
+    // detach-on-clone, or a destroy that leaves backend entries behind,
+    // would leave.
     let mut device_nodes: Vec<String> = Vec::new();
     for d in hv.domains() {
         if d.id.is_dom0() {
@@ -597,13 +593,6 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
     for class in p.xs.peek_directory("/local/domain/0/backend") {
         for domid in p.xs.peek_directory(&format!("/local/domain/0/backend/{class}")) {
-            let alive = domid
-                .parse::<u32>()
-                .map(|d| hv.domain_exists(DomId(d)))
-                .unwrap_or(false);
-            if !alive {
-                continue;
-            }
             for devid in
                 p.xs.peek_directory(&format!("/local/domain/0/backend/{class}/{domid}"))
             {

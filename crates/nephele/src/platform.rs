@@ -825,6 +825,13 @@ impl Platform {
 
     fn destroy_impl(&mut self, dom: DomId) -> Result<()> {
         self.guests.remove(&dom.0);
+        // A domain relaunched on this domid reuses its MACs: drop their routes.
+        for iface in self.xl.record(dom).map_or(&[][..], |r| &r.ifaces) {
+            let vif = self.dm.iface_target(*iface).and_then(|(d, i)| self.dm.vif(d, i));
+            if let Some(v) = vif.filter(|v| self.mac_first.get(&v.mac) == Some(iface)) {
+                self.mac_first.remove(&v.mac);
+            }
+        }
         self.xl
             .destroy(&mut self.hv, &mut self.xs, &mut self.dm, &mut self.udev, dom)?;
         Ok(())
@@ -1264,6 +1271,12 @@ impl Platform {
     pub fn has_guest(&self, dom: DomId) -> bool {
         self.guests.contains_key(&dom.0)
     }
+
+    /// The MAC route table (MAC → iface of the created domain that owns
+    /// it), unordered. For inspection and state comparison.
+    pub fn mac_routes(&self) -> impl Iterator<Item = (MacAddr, IfaceId)> + '_ {
+        self.mac_first.iter().map(|(m, i)| (*m, *i))
+    }
 }
 
 #[cfg(test)]
@@ -1350,6 +1363,34 @@ mod tests {
             )),
             "echo missing: {evts:?}"
         );
+    }
+
+    #[test]
+    fn relaunch_on_a_reused_domid_is_reachable() {
+        let mut p = plat();
+        let ip = Ipv4Addr::new(10, 0, 0, 2);
+        let ping = |p: &mut Platform| {
+            p.take_host_events();
+            p.host_udp_send(ip, 5555, 7, b"ping".to_vec());
+            p.take_host_events().iter().any(|e| {
+                matches!(e, SockEvent::UdpData { payload, src_port: 7, .. } if payload == b"ping")
+            })
+        };
+        let launch = |p: &mut Platform| {
+            p.launch(
+                &udp_cfg("echo", ip),
+                &KernelImage::minios("echo"),
+                Box::new(UdpEcho { port: 7, seen: 0 }),
+            )
+            .unwrap()
+        };
+        let first = launch(&mut p);
+        assert!(ping(&mut p), "first incarnation replies");
+        p.destroy(first).unwrap();
+        assert_eq!(p.mac_routes().count(), 0, "the dead domain's route is gone");
+        let second = launch(&mut p);
+        assert_eq!(second, first, "the domid is reused");
+        assert!(ping(&mut p), "the relaunched domain replies on the reused MAC");
     }
 
     #[derive(Clone)]

@@ -257,7 +257,7 @@ impl Xl {
         xs.write(DomId::DOM0, &format!("{home}/memory/static-max"), &(cfg.memory_mib * 1024).to_string())?;
         xs.write(DomId::DOM0, &format!("{home}/cpu/0/availability"), "online")?;
         xs.write(DomId::DOM0, &format!("{home}/vm"), &format!("/vm/{}", cfg.name))?;
-        xs.write(DomId::DOM0, &format!("/vm/{}/uuid", cfg.name), &format!("uuid-{}", dom.0))?;
+        xs.write(DomId::DOM0, &format!("/vm/{}/uuid", cfg.name), &format!("uuid-{}", cfg.name))?;
         xs.write(DomId::DOM0, &format!("/vm/{}/start_time", cfg.name), "0")?;
         Ok(())
     }
@@ -469,7 +469,10 @@ impl Xl {
         }
         self.clock.advance(self.costs.xl_destroy_base);
         dm.forget_domain(udev, dom);
-        xs.forget_domain(dom);
+        // `/vm/<name>` goes with the last live domain of that name.
+        let name = self.records.get(&dom.0).map(|r| r.name.as_str());
+        let vm = name.filter(|n| self.names.get(*n).is_some_and(|ids| ids.len() == 1));
+        xs.forget_domain(dom, vm);
         hv.destroy_domain(dom)?;
         if let Some(rec) = self.records.remove(&dom.0) {
             self.unindex_name(&rec.name, dom.0);
@@ -787,6 +790,30 @@ mod tests {
             w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, d),
             Err(XlError::NoSuchDomain(_))
         ));
+    }
+
+    #[test]
+    fn destroy_removes_what_create_wrote() {
+        let mut w = world();
+        let img = KernelImage::minios("udp");
+        let before = w.xs.entry_count();
+        // Two live domains may share a name while validation is off; the
+        // `/vm/<name>` node goes with the last of them.
+        let a = w.xl.create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &udp_cfg("dup"), &img);
+        let b = w.xl.create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &udp_cfg("dup"), &img);
+        let (a, b) = (a.unwrap().id, b.unwrap().id);
+        w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, a).unwrap();
+        assert!(w.xs.exists("/vm/dup/uuid"), "b still holds the name");
+        assert!(!w.xs.exists(&format!("/local/domain/0/backend/vif/{}", a.0)));
+        assert!(w.xs.exists(&format!("/local/domain/0/backend/vif/{}", b.0)));
+        w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, b).unwrap();
+        assert!(!w.xs.exists("/vm/dup"));
+        // Only Dom0's home and backend directories remain of the two domains.
+        let class_dirs = w.xs.peek_directory("/local/domain/0/backend");
+        assert_eq!(w.xs.entry_count(), before + 2 + class_dirs.len() as u64);
+        for class in class_dirs {
+            assert!(w.xs.peek_directory(&format!("/local/domain/0/backend/{class}")).is_empty());
+        }
     }
 
     #[test]

@@ -522,9 +522,7 @@ impl Xenstore {
                 }
                 TxnOp::Rm { path } => {
                     self.charge_request("rm", &path);
-                    if let Some(removed) = self.root.remove(&path) {
-                        self.entry_count = self.entry_count.saturating_sub(removed);
-                    }
+                    self.drop_subtree(&path);
                     touched.push(path);
                 }
             }
@@ -556,7 +554,6 @@ impl Xenstore {
     fn introduce_domain_impl(&mut self, domid: DomId, parent: Option<DomId>) -> Result<()> {
         self.clock.advance(self.costs.xs_introduce);
         self.charge_request("introduce", &format!("/local/domain/{}", domid.0));
-        self.scrub_stale_backends(domid);
         let home = format!("/local/domain/{}", domid.0);
         self.mkdir_internal(DomId::DOM0, &home)?;
         if let Some(p) = parent {
@@ -566,38 +563,29 @@ impl Xenstore {
         Ok(())
     }
 
-    /// Garbage-collects Dom0-side backend subtrees left behind by a
-    /// *previous* owner of `domid`. Destruction deliberately leaves them
-    /// in place (see [`Xenstore::forget_domain`]); now that the domid
-    /// allocator reuses freed ids, a domain taking over an id must not
-    /// inherit its predecessor's stale device nodes — the auditor's
-    /// orphan sweep is scoped to live domains and would (rightly) flag
-    /// them. Pure bookkeeping folded into the introduce request: no
-    /// extra virtual time, no watch events, and a no-op for fresh ids,
-    /// so figures that never destroy a domain are byte-identical.
-    fn scrub_stale_backends(&mut self, domid: DomId) {
-        for class in self.peek_directory("/local/domain/0/backend") {
-            let path = format!("/local/domain/0/backend/{class}/{}", domid.0);
-            if let Some(removed) = self.root.remove(&path) {
-                self.entry_count = self.entry_count.saturating_sub(removed);
-            }
-        }
-    }
-
-    /// Removes a domain's subtree on destruction.
-    pub fn forget_domain(&mut self, domid: DomId) {
+    /// Removes what the toolstack wrote for a destroyed domain: its home
+    /// (one charged `rm`), its backend entries in every class and, when it
+    /// was the last live domain named `vm`, `/vm/<vm>`. The latter two are
+    /// uncharged bookkeeping: no access-log line, no watch events.
+    pub fn forget_domain(&mut self, domid: DomId, vm: Option<&str>) {
         let home = format!("/local/domain/{}", domid.0);
         if self.exists(&home) {
             let _ = self.rm(DomId::DOM0, &home);
         }
-        // NOTE: the Dom0-side backend entries
-        // (`/local/domain/0/backend/<class>/<domid>`) are deliberately
-        // left in place, mirroring the legacy toolstack teardown. Every
-        // committed figure's virtual time depends on the store's entry
-        // count (`xs_per_existing_entry`), so removing them here would
-        // drift the determinism-gated CSVs; the device-bus auditor
-        // scopes its orphan sweep to live domains accordingly.
+        for class in self.peek_directory("/local/domain/0/backend") {
+            self.drop_subtree(&format!("/local/domain/0/backend/{class}/{}", domid.0));
+        }
+        if let Some(name) = vm {
+            self.drop_subtree(&format!("/vm/{name}"));
+        }
         self.watches.forget_owner(domid);
+    }
+
+    /// Removes `path`'s subtree, if any, uncharged and without watch events.
+    fn drop_subtree(&mut self, path: &str) {
+        if let Some(removed) = self.root.remove(path) {
+            self.entry_count = self.entry_count.saturating_sub(removed);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -900,9 +888,34 @@ mod tests {
         let mut xs = xs();
         xs.introduce_domain(DomId(9), None).unwrap();
         xs.watch(DomId(9), "w", "/local/domain/9").unwrap();
-        xs.forget_domain(DomId(9));
+        for class in ["vif", "9pfs", "vbd", "vsock"] {
+            for dom in [9, 10] {
+                let be = format!("/local/domain/0/backend/{class}/{dom}/0");
+                xs.write(DomId::DOM0, &format!("{be}/state"), "4").unwrap();
+            }
+        }
+        xs.write(DomId::DOM0, "/vm/nine/uuid", "uuid-9").unwrap();
+        xs.write(DomId::DOM0, "/vm/ten/uuid", "uuid-10").unwrap();
+        let entries = xs.entry_count();
+        xs.forget_domain(DomId(9), Some("nine"));
         assert!(!xs.exists("/local/domain/9"));
         assert_eq!(xs.watch_count(), 0);
+        for class in ["vif", "9pfs", "vbd", "vsock"] {
+            let be = |dom: u32| format!("/local/domain/0/backend/{class}/{dom}");
+            assert!(!xs.exists(&be(9)), "{class} backend of the destroyed domain is gone");
+            assert_eq!(xs.peek(&format!("{}/0/state", be(10))).as_deref(), Some("4"),
+                       "a neighbour's {class} backend is untouched");
+        }
+        assert!(!xs.exists("/vm/nine") && xs.exists("/vm/ten/uuid"));
+        // The home, 4 backend subtrees (3 nodes each) and /vm/nine (2).
+        assert_eq!(entries - xs.entry_count(), 1 + 4 * 3 + 2);
+        xs.audit_tree().unwrap();
+
+        // A re-introduced domid starts with no backend nodes.
+        xs.introduce_domain(DomId(9), None).unwrap();
+        for class in xs.peek_directory("/local/domain/0/backend") {
+            assert!(xs.peek_directory(&format!("/local/domain/0/backend/{class}/9")).is_empty());
+        }
     }
 
     #[test]

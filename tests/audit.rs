@@ -548,6 +548,19 @@ fn device_tree_drift_is_detected_and_named() {
         device_bus(&report, "missing its Xenstore node") && device_bus(&report, &backend),
         "a live vif without its backend node must be reported:\n{report}"
     );
+    p.xs.write(DomId::DOM0, &format!("{backend}/state"), "4").unwrap();
+    assert!(p.audit().is_clean(), "restoring the backend node restores a clean audit");
+
+    // An orphan backend: a destroyed domain's vif backend left under Dom0.
+    p.destroy(child).expect("destroy");
+    assert!(p.audit().is_clean(), "destroy removes the child's backend entries");
+    let dead = format!("/local/domain/0/backend/vif/{}/0", child.0);
+    p.xs.write(DomId::DOM0, &format!("{dead}/state"), "4").unwrap();
+    let report = p.audit();
+    assert!(
+        device_bus(&report, &dead) && device_bus(&report, "orphan"),
+        "a destroyed domain's backend node must be reported as an orphan:\n{report}"
+    );
 }
 
 /// Dom0 alone (a freshly booted platform) audits clean, and the report's
