@@ -25,10 +25,16 @@
 //! A cloned child appears in that list as soon as its backend state
 //! exists — except under [`CloneSemantics::DetachOnClone`], where the
 //! child deliberately gets nothing.
+//!
+//! The class also fixes the device's Xenstore layout: [`DeviceId`]
+//! derives its frontend and backend directories from the class name,
+//! [`DeviceClass::xs_clone_op`] names the `xs_clone` op that copies them,
+//! and [`device_dirs`] lists the device directories actually present.
 
 use std::collections::BTreeMap;
 
 use sim_core::DomId;
+use xenstore::{Xenstore, XsCloneOp};
 
 /// The device classes the platform models, in dispatch order.
 ///
@@ -87,6 +93,20 @@ impl DeviceClass {
             DeviceClass::Usb => CloneSemantics::DetachOnClone,
         }
     }
+
+    /// The `xs_clone` op whose domid rewrite copies this class's Xenstore
+    /// directories to a clone (§5.2.1), or `None` for a class whose clone
+    /// copies no Xenstore state.
+    pub fn xs_clone_op(self) -> Option<XsCloneOp> {
+        match self {
+            DeviceClass::Console => Some(XsCloneOp::DevConsole),
+            DeviceClass::Vif => Some(XsCloneOp::DevVif),
+            DeviceClass::P9fs => Some(XsCloneOp::Dev9pfs),
+            DeviceClass::Vbd => Some(XsCloneOp::DevVbd),
+            DeviceClass::Vsock => Some(XsCloneOp::DevVsock),
+            DeviceClass::Usb => None,
+        }
+    }
 }
 
 /// How a device class reacts to its owner being cloned — the typed form
@@ -142,28 +162,74 @@ impl DeviceId {
         DeviceId { class, devid }
     }
 
-    /// The Xenstore directories `owner`'s device of this id owns
-    /// (frontend and backend; the console has one directory).
-    pub fn xenstore_paths(self, owner: DomId) -> Vec<String> {
-        let i = self.devid;
+    /// The frontend directory of `owner`'s device of this id:
+    /// `/local/domain/<owner>/device/<class>/<devid>`, except the console's
+    /// `/local/domain/<owner>/console`.
+    pub fn front_dir(self, owner: DomId) -> String {
         match self.class {
-            DeviceClass::Console => vec![crate::console_dir(owner)],
-            DeviceClass::Vif => vec![
-                crate::vif_front_dir(owner, i),
-                crate::vif_back_dir(owner, i),
-            ],
-            DeviceClass::P9fs => vec![crate::p9_front_dir(owner), crate::p9_back_dir(owner)],
-            DeviceClass::Vbd => vec![
-                crate::vbd_front_dir(owner, i),
-                crate::vbd_back_dir(owner, i),
-            ],
-            DeviceClass::Vsock => vec![crate::vsock_front_dir(owner), crate::vsock_back_dir(owner)],
-            DeviceClass::Usb => vec![
-                crate::usb_front_dir(owner, i),
-                crate::usb_back_dir(owner, i),
-            ],
+            DeviceClass::Console => format!("/local/domain/{}/console", owner.0),
+            class => format!(
+                "/local/domain/{}/device/{}/{}",
+                owner.0,
+                class.name(),
+                self.devid
+            ),
         }
     }
+
+    /// The backend directory of `owner`'s device of this id under Dom0:
+    /// `/local/domain/0/backend/<class>/<owner>/<devid>`. The console has
+    /// none.
+    pub fn back_dir(self, owner: DomId) -> Option<String> {
+        (self.class != DeviceClass::Console).then(|| {
+            format!(
+                "{BACKEND_ROOT}/{}/{}/{}",
+                self.class.name(),
+                owner.0,
+                self.devid
+            )
+        })
+    }
+
+    /// The Xenstore directories `owner`'s device of this id owns: its
+    /// frontend, then its backend if it has one.
+    pub fn xenstore_paths(self, owner: DomId) -> Vec<String> {
+        std::iter::once(self.front_dir(owner))
+            .chain(self.back_dir(owner))
+            .collect()
+    }
+}
+
+/// Where every backend directory lives: `<class>/<owner>/<devid>` below.
+const BACKEND_ROOT: &str = "/local/domain/0/backend";
+
+/// Every device directory present in `xs`, whether a device owns it or
+/// not: each of `owners`' console and `device/<class>/<devid>` frontend
+/// directories, then every backend directory under Dom0. Reads with the
+/// uncharged `peek_directory`, so it charges no virtual time.
+pub fn device_dirs(xs: &Xenstore, owners: impl IntoIterator<Item = DomId>) -> Vec<String> {
+    // The directories exactly `depth` levels below `root`.
+    let below = |root: String, depth: usize| {
+        (0..depth).fold(vec![root], |dirs, _| {
+            dirs.iter()
+                .flat_map(|d| {
+                    xs.peek_directory(d)
+                        .into_iter()
+                        .map(move |c| format!("{d}/{c}"))
+                })
+                .collect()
+        })
+    };
+    let mut dirs = Vec::new();
+    for owner in owners {
+        let console = DeviceId::new(DeviceClass::Console, 0).front_dir(owner);
+        if xs.exists(&console) {
+            dirs.push(console);
+        }
+        dirs.extend(below(format!("/local/domain/{}/device", owner.0), 2));
+    }
+    dirs.extend(below(BACKEND_ROOT.to_string(), 3));
+    dirs
 }
 
 /// Per-class clone policy: which device classes the second stage clones.

@@ -11,12 +11,17 @@
 //! [`DeviceManager`] is the Dom0-side registry gluing it together. It
 //! offers two setup paths per device, mirroring the paper:
 //!
-//! * the **boot path** walks the full frontend/backend Xenbus negotiation
-//!   and writes every Xenstore entry individually;
+//! * the **boot path** writes every Xenstore entry individually and walks
+//!   the full frontend/backend Xenbus negotiation — one shared handshake
+//!   for every class with a backend, fed the class's own keys;
 //! * the **clone path** copies the Xenstore state with `xs_clone` (or a
-//!   deep per-entry copy, for the Fig. 4 comparison), creates the backend
-//!   state directly in the Connected state, and reuses backend processes
-//!   across the clone family.
+//!   deep per-entry copy, for the Fig. 4 comparison) — one shared copy
+//!   using the class's [`class::DeviceClass::xs_clone_op`] — then creates
+//!   the backend state directly in the Connected state, and reuses backend
+//!   processes across the clone family.
+//!
+//! Where a device lives in Xenstore is derived from its id alone
+//! ([`class::DeviceId::front_dir`], [`class::DeviceId::back_dir`]).
 //!
 //! The per-class backend maps are the only device registry:
 //! [`DeviceManager::devices`] derives a domain's devices from them as
@@ -49,7 +54,7 @@ use hypervisor::error::HvError;
 use hypervisor::Hypervisor;
 use netmux::{IfaceId, MacAddr, Packet};
 use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
-use xenstore::{XsCloneOp, XsError, Xenstore};
+use xenstore::{XsError, Xenstore};
 
 use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
 use crate::class::{DeviceClass, DeviceId};
@@ -129,50 +134,6 @@ pub struct VifConfig {
     pub rx_pfn: Pfn,
     /// Guest pages preallocated for RX payloads (one per RX slot).
     pub rx_buffers: Vec<Pfn>,
-}
-
-pub(crate) fn vif_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vif/{devid}", dom.0)
-}
-
-pub(crate) fn vif_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vif/{}/{devid}", dom.0)
-}
-
-pub(crate) fn console_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/console", dom.0)
-}
-
-pub(crate) fn p9_front_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/device/9pfs/0", dom.0)
-}
-
-pub(crate) fn p9_back_dir(dom: DomId) -> String {
-    format!("/local/domain/0/backend/9pfs/{}/0", dom.0)
-}
-
-pub(crate) fn vbd_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vbd/{devid}", dom.0)
-}
-
-pub(crate) fn vbd_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vbd/{}/{devid}", dom.0)
-}
-
-pub(crate) fn vsock_front_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/device/vsock/0", dom.0)
-}
-
-pub(crate) fn vsock_back_dir(dom: DomId) -> String {
-    format!("/local/domain/0/backend/vsock/{}/0", dom.0)
-}
-
-pub(crate) fn usb_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vusb/{devid}", dom.0)
-}
-
-pub(crate) fn usb_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vusb/{}/{devid}", dom.0)
 }
 
 /// The Dom0 device registry and backend host.
@@ -382,6 +343,98 @@ impl DeviceManager {
     }
 
     // ------------------------------------------------------------------
+    // Xenbus: the boot handshake and the registry clone every class shares
+    // ------------------------------------------------------------------
+
+    /// The Xenbus boot handshake every split device shares: the frontend's
+    /// `backend` and `backend-id` plus the class's own `front` keys, the
+    /// backend's `frontend` and `frontend-id` plus its own `back` keys,
+    /// then the full negotiation, one state write per end per step.
+    fn xenbus_boot(
+        &mut self,
+        xs: &mut Xenstore,
+        dom: DomId,
+        id: DeviceId,
+        front: &[(&str, &str)],
+        back: &[(&str, &str)],
+    ) -> Result<()> {
+        let f = id.front_dir(dom);
+        let b = id.back_dir(dom).expect("a device with a Xenbus handshake has a backend");
+        for (key, value) in [("backend", b.as_str()), ("backend-id", "0")].iter().chain(front) {
+            xs.write(DomId::DOM0, &format!("{f}/{key}"), value)?;
+        }
+        let frontend_id = dom.0.to_string();
+        for (key, value) in [("frontend", f.as_str()), ("frontend-id", &frontend_id)].iter().chain(back) {
+            xs.write(DomId::DOM0, &format!("{b}/{key}"), value)?;
+        }
+        for (front, back) in NEGOTIATION_STEPS {
+            self.clock.advance(self.costs.xenbus_transition);
+            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
+            self.clock.advance(self.costs.xenbus_transition);
+            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
+        }
+        Ok(())
+    }
+
+    /// Copies `id`'s Xenstore directories from `parent` to `child`,
+    /// frontend then backend: one `xs_clone` request per directory with
+    /// the class's domid-rewriting op, or a deep per-entry copy. A class
+    /// with no `xs_clone` op copies nothing.
+    fn clone_registry(
+        &mut self,
+        xs: &mut Xenstore,
+        parent: DomId,
+        child: DomId,
+        id: DeviceId,
+        deep_copy: bool,
+    ) -> Result<()> {
+        let Some(op) = id.class.xs_clone_op() else {
+            return Ok(());
+        };
+        for (from, to) in id.xenstore_paths(parent).iter().zip(id.xenstore_paths(child)) {
+            if deep_copy {
+                self.deep_copy_dir(xs, from, &to, parent, child)?;
+            } else {
+                xs.xs_clone(DomId::DOM0, op, parent, child, from, &to)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The deep-copy fallback for device directories: one Xenstore write
+    /// request per entry, with the domid rewriting done client-side. This
+    /// is what `xencloned` does *without* the `xs_clone` optimization and
+    /// is measured by the "clone + XS deep copy" curve of Fig. 4.
+    fn deep_copy_dir(
+        &mut self,
+        xs: &mut Xenstore,
+        from: &str,
+        to: &str,
+        parent: DomId,
+        child: DomId,
+    ) -> Result<()> {
+        let span = self.trace.span("dev.deep_copy");
+        let keys = xs.directory(DomId::DOM0, from)?;
+        span.attr("entries", keys.len());
+        let old_home = format!("/local/domain/{}/", parent.0);
+        let new_home = format!("/local/domain/{}/", child.0);
+        let seg_old = format!("/{}/", parent.0);
+        let seg_new = format!("/{}/", child.0);
+        for key in keys {
+            let v = xs.read(DomId::DOM0, &format!("{from}/{key}"))?;
+            let mut nv = v.replace(&old_home, &new_home);
+            if nv == parent.0.to_string() {
+                nv = child.0.to_string();
+            }
+            if nv.starts_with("/local/domain/0/backend/") && nv.contains(&seg_old) {
+                nv = nv.replacen(&seg_old, &seg_new, 1);
+            }
+            xs.write(DomId::DOM0, &format!("{to}/{key}"), &nv)?;
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
     // Console
     // ------------------------------------------------------------------
 
@@ -393,7 +446,7 @@ impl DeviceManager {
         dom: DomId,
     ) -> Result<()> {
         let ring_pfn = hv.domain(dom)?.console_pfn;
-        let dir = console_dir(dom);
+        let dir = DeviceId::new(DeviceClass::Console, 0).front_dir(dom);
         xs.write(DomId::DOM0, &format!("{dir}/ring-ref"), &ring_pfn.0.to_string())?;
         xs.write(DomId::DOM0, &format!("{dir}/port"), "2")?;
         xs.write(DomId::DOM0, &format!("{dir}/type"), "xenconsoled")?;
@@ -418,18 +471,8 @@ impl DeviceManager {
     ) -> Result<()> {
         let span = self.trace.span("dev.clone_console");
         span.attr("deep_copy", deep_copy);
-        if deep_copy {
-            self.deep_copy_dir(xs, &console_dir(parent), &console_dir(child), parent, child)?;
-        } else {
-            xs.xs_clone(
-                DomId::DOM0,
-                XsCloneOp::DevConsole,
-                parent,
-                child,
-                &console_dir(parent),
-                &console_dir(child),
-            )?;
-        }
+        let id = DeviceId::new(DeviceClass::Console, 0);
+        self.clone_registry(xs, parent, child, id, deep_copy)?;
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
         self.console.attach_clone(parent, child, ring_pfn);
@@ -467,37 +510,25 @@ impl DeviceManager {
         cfg: VifConfig,
     ) -> Result<IfaceId> {
         let mac = MacAddr::xen(dom.0, cfg.devid as u8);
-        let f = vif_front_dir(dom, cfg.devid);
-        let b = vif_back_dir(dom, cfg.devid);
-
-        // Frontend entries.
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/mac"), &mac.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/handle"), &cfg.devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/tx-ring-ref"), &cfg.tx_pfn.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/rx-ring-ref"), &cfg.rx_pfn.0.to_string())?;
-        // Backend entries.
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/mac"), &mac.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/handle"), &cfg.devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/bridge"), "xenbr0")?;
-
         // Ring pages and RX buffers are private on clone (§4.1/§4.2).
         hv.register_private_pfn(dom, cfg.tx_pfn, PrivatePolicy::Copy)?;
         hv.register_private_pfn(dom, cfg.rx_pfn, PrivatePolicy::Copy)?;
         for pfn in &cfg.rx_buffers {
             hv.register_private_pfn(dom, *pfn, PrivatePolicy::Copy)?;
         }
-
-        // Full Xenbus negotiation, one state write per end per step.
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        let (mac_s, handle) = (mac.to_string(), cfg.devid.to_string());
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::Vif, cfg.devid),
+            &[
+                ("mac", &mac_s),
+                ("handle", &handle),
+                ("tx-ring-ref", &cfg.tx_pfn.0.to_string()),
+                ("rx-ring-ref", &cfg.rx_pfn.0.to_string()),
+            ],
+            &[("mac", &mac_s), ("handle", &handle), ("bridge", "xenbr0")],
+        )?;
 
         // Backend creates the in-kernel vif and announces it via udev.
         self.clock.advance(self.costs.backend_create);
@@ -543,17 +574,7 @@ impl DeviceManager {
         let span = self.trace.span("dev.clone_vif");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        let pf = vif_front_dir(parent, devid);
-        let pb = vif_back_dir(parent, devid);
-        let cf = vif_front_dir(child, devid);
-        let cb = vif_back_dir(child, devid);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVif, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVif, parent, child, &pb, &cb)?;
-        }
+        self.clone_registry(xs, parent, child, DeviceId::new(DeviceClass::Vif, devid), deep_copy)?;
 
         let parent_vif = self
             .vifs
@@ -762,21 +783,13 @@ impl DeviceManager {
         dom: DomId,
         export_root: &str,
     ) -> Result<()> {
-        let f = p9_front_dir(dom);
-        let b = p9_back_dir(dom);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/tag"), "rootfs")?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/path"), export_root)?;
-        xs.write(DomId::DOM0, &format!("{b}/security_model"), "none")?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::P9fs, 0),
+            &[("tag", "rootfs")],
+            &[("path", export_root), ("security_model", "none")],
+        )?;
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
 
         self.clock.advance(self.costs.qemu_launch);
@@ -806,17 +819,7 @@ impl DeviceManager {
     ) -> Result<usize> {
         let span = self.trace.span("dev.clone_9pfs");
         span.attr("deep_copy", deep_copy);
-        let pf = p9_front_dir(parent);
-        let pb = p9_back_dir(parent);
-        let cf = p9_front_dir(child);
-        let cb = p9_back_dir(child);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::Dev9pfs, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::Dev9pfs, parent, child, &pb, &cb)?;
-        }
+        self.clone_registry(xs, parent, child, DeviceId::new(DeviceClass::P9fs, 0), deep_copy)?;
         self.clock.advance(self.costs.qmp_request);
         let pid = *self.served_by.get(&parent.0).ok_or(DevError::NoBackend(parent))?;
         let q = self.qemus.get_mut(&pid).ok_or(DevError::NoBackend(parent))?;
@@ -865,22 +868,17 @@ impl DeviceManager {
         devid: u32,
         sectors: u64,
     ) -> Result<()> {
-        let f = vbd_front_dir(dom, devid);
-        let b = vbd_back_dir(dom, devid);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/virtual-device"), &devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/sectors"), &sectors.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/sector-size"), &SECTOR_SIZE.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/mode"), "w")?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::Vbd, devid),
+            &[("virtual-device", &devid.to_string())],
+            &[
+                ("sectors", &sectors.to_string()),
+                ("sector-size", &SECTOR_SIZE.to_string()),
+                ("mode", "w"),
+            ],
+        )?;
         self.clock.advance(self.costs.backend_create);
         self.vbds.insert((dom.0, devid), Vbd::new(dom, devid, sectors));
         Ok(())
@@ -902,17 +900,7 @@ impl DeviceManager {
         let span = self.trace.span("dev.clone_vbd");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        let pf = vbd_front_dir(parent, devid);
-        let pb = vbd_back_dir(parent, devid);
-        let cf = vbd_front_dir(child, devid);
-        let cb = vbd_back_dir(child, devid);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVbd, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVbd, parent, child, &pb, &cb)?;
-        }
+        self.clone_registry(xs, parent, child, DeviceId::new(DeviceClass::Vbd, devid), deep_copy)?;
         let parent_vbd = self
             .vbds
             .get(&(parent.0, devid))
@@ -1003,21 +991,9 @@ impl DeviceManager {
         xs: &mut Xenstore,
         dom: DomId,
     ) -> Result<()> {
-        let f = vsock_front_dir(dom);
-        let b = vsock_back_dir(dom);
-        let port = crate::vsock::vsock_port_for(dom);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/port"), &port.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/port"), &port.to_string())?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        let port = crate::vsock::vsock_port_for(dom).to_string();
+        let id = DeviceId::new(DeviceClass::Vsock, 0);
+        self.xenbus_boot(xs, dom, id, &[("port", &port)], &[("port", &port)])?;
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         self.vsocks.insert(dom.0, VsockConn::connect(dom));
@@ -1039,17 +1015,8 @@ impl DeviceManager {
     ) -> Result<u32> {
         let span = self.trace.span("dev.clone_vsock");
         span.attr("deep_copy", deep_copy);
-        let pf = vsock_front_dir(parent);
-        let pb = vsock_back_dir(parent);
-        let cf = vsock_front_dir(child);
-        let cb = vsock_back_dir(child);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVsock, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVsock, parent, child, &pb, &cb)?;
-        }
+        let id = DeviceId::new(DeviceClass::Vsock, 0);
+        self.clone_registry(xs, parent, child, id, deep_copy)?;
         let parent_conn = self
             .vsocks
             .get(&parent.0)
@@ -1058,8 +1025,9 @@ impl DeviceManager {
         let port = conn.port;
         // The cloned entries carry the parent's port; the reconnect
         // rewrites them to the child's deterministic allocation.
-        xs.write(DomId::DOM0, &format!("{cf}/port"), &port.to_string())?;
-        xs.write(DomId::DOM0, &format!("{cb}/port"), &port.to_string())?;
+        for dir in id.xenstore_paths(child) {
+            xs.write(DomId::DOM0, &format!("{dir}/port"), &port.to_string())?;
+        }
         hv.evtchn_connect_pair(child, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         span.attr("port", port);
@@ -1100,19 +1068,8 @@ impl DeviceManager {
         if self.usbs.values().any(|u| u.attached && u.busid == busid) {
             return Err(DevError::UsbBusy(busid.to_string()));
         }
-        let f = usb_front_dir(dom, devid);
-        let b = usb_back_dir(dom, devid);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/busid"), busid)?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        let id = DeviceId::new(DeviceClass::Usb, devid);
+        self.xenbus_boot(xs, dom, id, &[], &[("busid", busid)])?;
         self.clock.advance(self.costs.usb_attach);
         self.usbs.insert((dom.0, devid), UsbPassthrough::attach(dom, devid, busid));
         Ok(())
@@ -1168,39 +1125,6 @@ impl DeviceManager {
     // ------------------------------------------------------------------
     // Lifecycle / accounting
     // ------------------------------------------------------------------
-
-    /// The deep-copy fallback for device directories: one Xenstore write
-    /// request per entry, with the domid rewriting done client-side. This
-    /// is what `xencloned` does *without* the `xs_clone` optimization and
-    /// is measured by the "clone + XS deep copy" curve of Fig. 4.
-    fn deep_copy_dir(
-        &mut self,
-        xs: &mut Xenstore,
-        from: &str,
-        to: &str,
-        parent: DomId,
-        child: DomId,
-    ) -> Result<()> {
-        let span = self.trace.span("dev.deep_copy");
-        let keys = xs.directory(DomId::DOM0, from)?;
-        span.attr("entries", keys.len());
-        for key in keys {
-            let v = xs.read(DomId::DOM0, &format!("{from}/{key}"))?;
-            let old_home = format!("/local/domain/{}/", parent.0);
-            let new_home = format!("/local/domain/{}/", child.0);
-            let mut nv = v.replace(&old_home, &new_home);
-            if nv == parent.0.to_string() {
-                nv = child.0.to_string();
-            }
-            let seg_old = format!("/{}/", parent.0);
-            let seg_new = format!("/{}/", child.0);
-            if nv.starts_with("/local/domain/0/backend/") && nv.contains(&seg_old) {
-                nv = nv.replacen(&seg_old, &seg_new, 1);
-            }
-            xs.write(DomId::DOM0, &format!("{to}/{key}"), &nv)?;
-        }
-        Ok(())
-    }
 
     /// Releases every device of a destroyed domain. Every step is
     /// O(devices the domain owns), never O(devices on the host): the
@@ -1305,6 +1229,31 @@ mod tests {
         }
     }
 
+    /// `dom`'s frontend directory of a class's device `devid`.
+    fn front(class: DeviceClass, dom: DomId, devid: u32) -> String {
+        DeviceId::new(class, devid).front_dir(dom)
+    }
+
+    /// Boots one device of `class` (devid 0) on `dom`.
+    fn boot(
+        hv: &mut Hypervisor,
+        xs: &mut Xenstore,
+        dm: &mut DeviceManager,
+        udev: &mut UdevBus,
+        dom: DomId,
+        class: DeviceClass,
+    ) {
+        match class {
+            DeviceClass::Console => dm.setup_console_boot(hv, xs, dom),
+            DeviceClass::Vif => dm.setup_vif_boot(hv, xs, udev, dom, vif_cfg()).map(|_| ()),
+            DeviceClass::P9fs => dm.setup_9pfs_boot(hv, xs, dom, "/export"),
+            DeviceClass::Vbd => dm.setup_vbd_boot(xs, dom, 0, 8),
+            DeviceClass::Vsock => dm.setup_vsock_boot(hv, xs, dom),
+            DeviceClass::Usb => dm.setup_usb_boot(xs, dom, 0, "1-1.4"),
+        }
+        .unwrap();
+    }
+
     fn pkt() -> Packet {
         Packet::udp(
             MacAddr::xen(1, 0),
@@ -1324,7 +1273,7 @@ mod tests {
         let vif = dm.vif(dom, 0).unwrap();
         assert!(vif.is_connected());
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/state", vif_front_dir(dom, 0))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/state", front(DeviceClass::Vif, dom, 0))).unwrap(),
             "4"
         );
         assert!(matches!(udev.next(), Some(UdevEvent::VifCreated { .. })));
@@ -1373,30 +1322,52 @@ mod tests {
         assert_eq!(cv.ip, pv.ip);
         assert!(cv.is_connected());
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/state", vif_front_dir(child, 0))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/state", front(DeviceClass::Vif, child, 0))).unwrap(),
             "4",
             "cloned entries exist and are Connected"
         );
         assert_eq!(dm.iface_target(ifc), Some((child, 0)));
     }
 
+    /// `dom`'s entries of device `id`, keyed `<dir index>/<key>`, with the
+    /// domain's own directories, its `frontend-id` and its vsock `port`
+    /// replaced by placeholders so that the entries of different domains
+    /// compare.
+    fn normalized_entries(xs: &Xenstore, id: DeviceId, dom: DomId) -> Vec<(String, String)> {
+        let dirs = id.xenstore_paths(dom);
+        let mut out = Vec::new();
+        for (n, dir) in dirs.iter().enumerate() {
+            for key in xs.peek_directory(dir) {
+                let mut v = xs.peek(&format!("{dir}/{key}")).unwrap_or_default();
+                for (m, d) in dirs.iter().enumerate() {
+                    v = v.replace(d, &format!("<dir{m}>"));
+                }
+                if key == "frontend-id" && v == dom.0.to_string() {
+                    v = "<dom>".into();
+                } else if key == "port" && v == crate::vsock::vsock_port_for(dom).to_string() {
+                    v = "<port>".into();
+                }
+                out.push((format!("{n}/{key}"), v));
+            }
+        }
+        out
+    }
+
     #[test]
     fn deep_copy_clone_matches_xs_clone_content() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        let c1 = hv.create_domain("c1", 4, 1).unwrap();
-        let c2 = hv.create_domain("c2", 4, 1).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, c1, 0, false).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, c2, 0, true).unwrap();
-        for key in ["mac", "state", "handle", "backend-id"] {
-            let a = xs.read(DomId::DOM0, &format!("{}/{key}", vif_front_dir(c1, 0))).unwrap();
-            let b = xs.read(DomId::DOM0, &format!("{}/{key}", vif_front_dir(c2, 0))).unwrap();
-            assert_eq!(a, b, "entry {key} must match between copy modes");
+        for class in DeviceClass::ALL.into_iter().filter(|c| c.xs_clone_op().is_some()) {
+            let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+            boot(&mut hv, &mut xs, &mut dm, &mut udev, dom, class);
+            let c1 = hv.create_domain("c1", 4, 1).unwrap();
+            let c2 = hv.create_domain("c2", 4, 1).unwrap();
+            let id = DeviceId::new(class, 0);
+            dm.clone_device(&mut hv, &mut xs, &mut udev, dom, c1, id, false).unwrap();
+            dm.clone_device(&mut hv, &mut xs, &mut udev, dom, c2, id, true).unwrap();
+            let parent = normalized_entries(&xs, id, dom);
+            assert!(!parent.is_empty(), "{class:?} boots with Xenstore entries");
+            assert_eq!(normalized_entries(&xs, id, c1), parent, "{class:?} via xs_clone");
+            assert_eq!(normalized_entries(&xs, id, c2), parent, "{class:?} via deep copy");
         }
-        let b1 = xs.read(DomId::DOM0, &format!("{}/backend", vif_front_dir(c1, 0))).unwrap();
-        let b2 = xs.read(DomId::DOM0, &format!("{}/backend", vif_front_dir(c2, 0))).unwrap();
-        assert_eq!(b1, vif_back_dir(c1, 0));
-        assert_eq!(b2, vif_back_dir(c2, 0));
     }
 
     #[test]
@@ -1410,7 +1381,7 @@ mod tests {
         dm.clone_console_impl(&mut hv, &mut xs, dom, child, false).unwrap();
         assert!(dm.console_attached(child));
         assert!(dm.console_output(child).is_empty(), "no parent output replay");
-        assert!(xs.exists(&format!("{}/ring-ref", console_dir(child))));
+        assert!(xs.exists(&format!("{}/ring-ref", front(DeviceClass::Console, child, 0))));
     }
 
     #[test]
@@ -1495,14 +1466,14 @@ mod tests {
     fn vbd_boot_clone_and_cow() {
         let (mut hv, mut xs, mut dm, _udev, dom) = setup();
         dm.setup_vbd_boot(&mut xs, dom, 0, 8).unwrap();
-        assert!(xs.exists(&format!("{}/sectors", vbd_back_dir(dom, 0))));
+        assert!(xs.exists(&format!("{}/sectors", DeviceId::new(DeviceClass::Vbd, 0).back_dir(dom).unwrap())));
         let s = [7u8; SECTOR_SIZE];
         assert!(dm.vbd_write(dom, 0, 3, &s).unwrap());
 
         let child = hv.create_domain("child", 4, 1).unwrap();
         let inherited = dm.clone_vbd_impl(&mut xs, dom, child, 0, false).unwrap();
         assert_eq!(inherited, 1, "child inherits the parent's overlay");
-        assert!(xs.exists(&format!("{}/state", vbd_front_dir(child, 0))));
+        assert!(xs.exists(&format!("{}/state", front(DeviceClass::Vbd, child, 0))));
         assert_eq!(dm.vbd_read(child, 0, 3).unwrap(), s);
 
         // Divergence is private in both directions.
@@ -1522,7 +1493,7 @@ mod tests {
         let port = dm.clone_vsock_impl(&mut hv, &mut xs, dom, child, false).unwrap();
         assert_eq!(port, crate::vsock::vsock_port_for(child));
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/port", vsock_front_dir(child))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/port", front(DeviceClass::Vsock, child, 0))).unwrap(),
             port.to_string(),
             "cloned entries rewritten to the child's port"
         );

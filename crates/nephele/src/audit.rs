@@ -25,9 +25,10 @@
 //!    `DOMID_CHILD` binding fan-out tables must only list live clones.
 //! 7. **Toolstack records vs hypervisor domains.** Every `xl` record must
 //!    have a backing domain, and every running domain an `xl` record.
-//! 8. **Xenstore tree vs registered devices.** Every running domain has
-//!    its `/local/domain/<id>` home, and every vif the device manager
-//!    knows about has both its frontend and backend directories.
+//! 8. **Xenstore tree vs running domains.** Every running domain has its
+//!    `/local/domain/<id>` home, and the persistent tree's cached entry
+//!    counts agree with a recount. (That each device's directories exist
+//!    is invariant 11.)
 //! 9. **P2m overlays vs the family template.** Each domain's overlay must
 //!    be canonical (no entry storing the same value as the shared base
 //!    slot), in-range, and every mapped overlay slot must point at a
@@ -462,7 +463,7 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
                     detail: format!("{} ({:?}) has no xl record", d.id, d.state),
                 });
             }
-            // 8a. ... and a Xenstore home.
+            // 8. ... and a Xenstore home.
             report.checks += 1;
             if !p.xs.exists(&format!("/local/domain/{}", d.id.0)) {
                 report.violations.push(AuditViolation {
@@ -514,26 +515,6 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
-    // 8b. Registered vifs vs the Xenstore tree.
-    for (dom, devid) in p.dm.all_vif_keys() {
-        report.checks += 1;
-        if !hv.domain_exists(dom) {
-            report.violations.push(AuditViolation {
-                invariant: "device-liveness",
-                detail: format!("vif {devid} registered for dead {dom}"),
-            });
-            continue;
-        }
-        let frontend = format!("/local/domain/{}/device/vif/{devid}", dom.0);
-        let backend = format!("/local/domain/0/backend/vif/{}/{devid}", dom.0);
-        if !p.xs.exists(&frontend) || !p.xs.exists(&backend) {
-            report.violations.push(AuditViolation {
-                invariant: "xenstore-tree",
-                detail: format!("vif {}/{devid} missing frontend or backend entry", dom.0),
-            });
-        }
-    }
-
     // 11. Device model vs the Xenstore device tree. First pass: every
     // device has a live owner, its nodes exist, and its own invariants
     // hold.
@@ -570,37 +551,13 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
-    // Second pass: walk the actual device nodes (frontends per live
+    // Second pass: walk the actual device directories (frontends per live
     // domain, backends under Dom0) — each must belong to a device in the
     // device model. An unclaimed node is an orphan: exactly what a buggy
     // detach-on-clone, or a destroy that leaves backend entries behind,
     // would leave.
-    let mut device_nodes: Vec<String> = Vec::new();
-    for d in hv.domains() {
-        if d.id.is_dom0() {
-            continue;
-        }
-        let home = format!("/local/domain/{}", d.id.0);
-        let console = format!("{home}/console");
-        if p.xs.exists(&console) {
-            device_nodes.push(console);
-        }
-        for class in p.xs.peek_directory(&format!("{home}/device")) {
-            for devid in p.xs.peek_directory(&format!("{home}/device/{class}")) {
-                device_nodes.push(format!("{home}/device/{class}/{devid}"));
-            }
-        }
-    }
-    for class in p.xs.peek_directory("/local/domain/0/backend") {
-        for domid in p.xs.peek_directory(&format!("/local/domain/0/backend/{class}")) {
-            for devid in
-                p.xs.peek_directory(&format!("/local/domain/0/backend/{class}/{domid}"))
-            {
-                device_nodes.push(format!("/local/domain/0/backend/{class}/{domid}/{devid}"));
-            }
-        }
-    }
-    for node in device_nodes {
+    let owners = hv.domains().map(|d| d.id).filter(|d| !d.is_dom0());
+    for node in devices::class::device_dirs(&p.xs, owners) {
         report.checks += 1;
         if !claimed.contains(&node) {
             report.violations.push(AuditViolation {
@@ -610,7 +567,7 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
-    // 8c. The persistent Xenstore tree's internal accounting: cached
+    // 8. The persistent Xenstore tree's internal accounting: cached
     // per-node entry counts, the store-level entry count, and the
     // sharing walk's logical total must all agree.
     report.checks += 1;

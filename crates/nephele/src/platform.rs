@@ -834,6 +834,7 @@ impl Platform {
         }
         self.xl
             .destroy(&mut self.hv, &mut self.xs, &mut self.dm, &mut self.udev, dom)?;
+        self.daemon.forget_domain(dom);
         Ok(())
     }
 

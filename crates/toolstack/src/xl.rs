@@ -256,9 +256,14 @@ impl Xl {
         xs.write(DomId::DOM0, &format!("{home}/memory/target"), &(cfg.memory_mib * 1024).to_string())?;
         xs.write(DomId::DOM0, &format!("{home}/memory/static-max"), &(cfg.memory_mib * 1024).to_string())?;
         xs.write(DomId::DOM0, &format!("{home}/cpu/0/availability"), "online")?;
-        xs.write(DomId::DOM0, &format!("{home}/vm"), &format!("/vm/{}", cfg.name))?;
-        xs.write(DomId::DOM0, &format!("/vm/{}/uuid", cfg.name), &format!("uuid-{}", cfg.name))?;
-        xs.write(DomId::DOM0, &format!("/vm/{}/start_time", cfg.name), "0")?;
+        Self::write_vm_entries(xs, dom, &cfg.name)
+    }
+
+    /// Writes the domain's `vm` link and the `/vm/<name>` node it names.
+    fn write_vm_entries(xs: &mut Xenstore, dom: DomId, name: &str) -> Result<()> {
+        xs.write(DomId::DOM0, &format!("/local/domain/{}/vm", dom.0), &format!("/vm/{name}"))?;
+        xs.write(DomId::DOM0, &format!("/vm/{name}/uuid"), &format!("uuid-{name}"))?;
+        xs.write(DomId::DOM0, &format!("/vm/{name}/start_time"), "0")?;
         Ok(())
     }
 
@@ -431,10 +436,24 @@ impl Xl {
         }
     }
 
+    /// Whether `dom` holds `/vm/<name>` through its `vm` link and no other
+    /// live domain of that name does. (Clones have no `vm` link.)
+    fn last_vm_holder(&self, xs: &Xenstore, dom: DomId, name: &str) -> bool {
+        let holds = |id: u32| xs.exists(&format!("/local/domain/{id}/vm"));
+        holds(dom.0)
+            && self
+                .names
+                .get(name)
+                .is_some_and(|ids| ids.iter().all(|&id| id == dom.0 || !holds(id)))
+    }
+
     /// `xl rename`: renames a live domain, updating the registry, the
-    /// name index and the domain's Xenstore name node. Renaming to the
-    /// current name is a no-op; with `validate_names` on, the target
-    /// name is checked for uniqueness exactly like a create.
+    /// name index and the domain's Xenstore name node. A domain with a
+    /// `vm` link (one `xl` created) gets it and `/vm/<name>` moved to the
+    /// new name; `/vm/<old>` goes only when no other live domain holds
+    /// it. Renaming to the current name is a no-op; with
+    /// `validate_names` on, the target name is checked for uniqueness
+    /// exactly like a create.
     pub fn rename(&mut self, xs: &mut Xenstore, dom: DomId, new_name: &str) -> Result<()> {
         let Some(rec) = self.records.get(&dom.0) else {
             return Err(XlError::NoSuchDomain(dom));
@@ -442,14 +461,18 @@ impl Xl {
         if rec.name == new_name {
             return Ok(());
         }
+        let old = rec.name.clone();
         self.check_name(new_name)?;
-        xs.write(
-            DomId::DOM0,
-            &format!("/local/domain/{}/name", dom.0),
-            new_name,
-        )?;
-        let rec = self.records.get_mut(&dom.0).expect("checked above");
-        let old = std::mem::replace(&mut rec.name, new_name.to_string());
+        let home = format!("/local/domain/{}", dom.0);
+        xs.write(DomId::DOM0, &format!("{home}/name"), new_name)?;
+        if xs.exists(&format!("{home}/vm")) {
+            let last = self.last_vm_holder(xs, dom, &old);
+            Self::write_vm_entries(xs, dom, new_name)?;
+            if last {
+                xs.rm(DomId::DOM0, &format!("/vm/{old}"))?;
+            }
+        }
+        self.records.get_mut(&dom.0).expect("checked above").name = new_name.to_string();
         self.unindex_name(&old, dom.0);
         self.names.entry(new_name.to_string()).or_default().insert(dom.0);
         Ok(())
@@ -464,14 +487,18 @@ impl Xl {
         udev: &mut UdevBus,
         dom: DomId,
     ) -> Result<()> {
+        // Dom0 is never destroyed: refuse before tearing anything down.
+        if dom.is_dom0() {
+            return Err(XlError::Hv(HvError::Denied));
+        }
         if !hv.domain_exists(dom) {
             return Err(XlError::NoSuchDomain(dom));
         }
         self.clock.advance(self.costs.xl_destroy_base);
         dm.forget_domain(udev, dom);
-        // `/vm/<name>` goes with the last live domain of that name.
+        // `/vm/<name>` goes with the last live domain that holds it.
         let name = self.records.get(&dom.0).map(|r| r.name.as_str());
-        let vm = name.filter(|n| self.names.get(*n).is_some_and(|ids| ids.len() == 1));
+        let vm = name.filter(|n| self.last_vm_holder(xs, dom, n));
         xs.forget_domain(dom, vm);
         hv.destroy_domain(dom)?;
         if let Some(rec) = self.records.remove(&dom.0) {

@@ -22,7 +22,8 @@
 //! which is why the paper measures ~3 ms of userspace operations for the
 //! first clone and ~1.9 ms afterwards (§6.2).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -134,10 +135,10 @@ pub struct Xencloned {
     costs: Rc<CostModel>,
     /// Behavioural configuration.
     pub config: XenclonedConfig,
-    /// Parents whose Xenstore information has been read and cached.
-    parent_cache: HashSet<u32>,
-    /// Cached parent names (part of the cached information).
+    /// The cached Xenstore information (the name) of each parent read so
+    /// far; a parent is cached exactly when it has an entry.
     parent_names: HashMap<u32, String>,
+    /// Clones named so far, per parent.
     clone_seq: HashMap<u32, u64>,
     clones_completed: u64,
     trace: TraceSink,
@@ -150,7 +151,6 @@ impl Xencloned {
             clock,
             costs,
             config: XenclonedConfig::default(),
-            parent_cache: HashSet::new(),
             parent_names: HashMap::new(),
             clone_seq: HashMap::new(),
             clones_completed: 0,
@@ -174,6 +174,13 @@ impl Xencloned {
         hv.bind_virq(DomId::DOM0, hypervisor::event::Virq::Cloned)?;
         hv.cloneop(DomId::DOM0, CloneOp::SetGlobalEnabled(true))?;
         Ok(())
+    }
+
+    /// Drops what the daemon cached about a destroyed domain, so a domain
+    /// that reuses its domid is read afresh and numbers its clones from 1.
+    pub fn forget_domain(&mut self, dom: DomId) {
+        self.parent_names.remove(&dom.0);
+        self.clone_seq.remove(&dom.0);
     }
 
     /// Total clones whose second stage this daemon completed.
@@ -233,16 +240,20 @@ impl Xencloned {
 
         // Read and cache the parent's Xenstore information on first use
         // (first clone ≈3 ms of userspace ops, later ≈1.9 ms, §6.2).
-        if self.parent_cache.insert(parent.0) {
-            self.trace.count_dom("xencloned.parent_cache.miss", parent, 1);
-            self.clock.advance(self.costs.xencloned_parent_scan);
-            let name = xs
-                .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
-                .unwrap_or_else(|_| format!("dom{}", parent.0));
-            self.parent_names.insert(parent.0, name);
-        } else {
-            self.trace.count_dom("xencloned.parent_cache.hit", parent, 1);
-        }
+        let parent_name = match self.parent_names.entry(parent.0) {
+            Entry::Occupied(e) => {
+                self.trace.count_dom("xencloned.parent_cache.hit", parent, 1);
+                e.get().clone()
+            }
+            Entry::Vacant(e) => {
+                self.trace.count_dom("xencloned.parent_cache.miss", parent, 1);
+                self.clock.advance(self.costs.xencloned_parent_scan);
+                let name = xs
+                    .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
+                    .unwrap_or_else(|_| format!("dom{}", parent.0));
+                e.insert(name).clone()
+            }
+        };
 
         // Introduce the child with the parent id (step 2.1).
         xs.introduce_domain(child, Some(parent))?;
@@ -250,14 +261,7 @@ impl Xencloned {
         // Generate a unique name — no validation scan needed.
         let seq = self.clone_seq.entry(parent.0).or_insert(0);
         *seq += 1;
-        let name = format!(
-            "{}-c{}",
-            self.parent_names
-                .get(&parent.0)
-                .cloned()
-                .unwrap_or_else(|| format!("dom{}", parent.0)),
-            seq
-        );
+        let name = format!("{parent_name}-c{seq}");
         let home = format!("/local/domain/{}", child.0);
         xs.write(DomId::DOM0, &format!("{home}/name"), &name)?;
         xs.write(DomId::DOM0, &format!("{home}/domid"), &child.0.to_string())?;

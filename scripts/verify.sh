@@ -21,23 +21,8 @@ cargo test -q --offline
 echo "== NEPHELE_AUDIT=every-op cargo test -q --offline (tier-1 under the state invariant auditor)"
 NEPHELE_AUDIT=every-op cargo test -q --offline
 
-echo "== cargo test -q --workspace --offline (all member crates)"
-cargo test -q --workspace --offline
-
-echo "== cargo test -q --offline --test trace_spans (observability layer)"
-cargo test -q --offline --test trace_spans
-
-echo "== cargo test -q -p hypervisor --offline --test prop_clone_batch (batched clone equivalence + atomicity)"
-cargo test -q -p hypervisor --offline --test prop_clone_batch
-
-echo "== cargo test -q --offline --test prop_trace_modes (close-time fold vs post-hoc reference)"
-cargo test -q --offline --test prop_trace_modes
-
-echo "== cargo test -q -p faas --offline scale (10^4-domain bounded-memory observability)"
-cargo test -q -p faas --offline scale
-
-echo "== cargo test -q -p faas --offline traffic (seeded traffic replay + request-cloning policies)"
-cargo test -q -p faas --offline traffic
+echo "== cargo test -q --workspace --offline --exclude nephele-repro (every member crate; the root package ran above)"
+cargo test -q --workspace --offline --exclude nephele-repro
 
 echo "== cargo bench --no-run --offline"
 cargo bench --no-run --offline

@@ -254,6 +254,7 @@ enum Step {
     Clone { idx: usize, nr: u32 },
     Fork { idx: usize, nr: u32 },
     Destroy { idx: usize },
+    Rename { idx: usize, name: usize },
 }
 
 fn steps() -> impl Gen<Value = Step> {
@@ -272,6 +273,12 @@ fn steps() -> impl Gen<Value = Step> {
                 .boxed(),
         ),
         (2, usizes().map(|idx| Step::Destroy { idx }).boxed()),
+        (
+            1,
+            (usizes(), usizes())
+                .map(|(idx, name)| Step::Rename { idx, name })
+                .boxed(),
+        ),
     ])
 }
 
@@ -283,9 +290,10 @@ fn vifless(p: &Platform) -> Vec<DomId> {
         .collect()
 }
 
-/// Drives the platform through a random tape of launches, clones, forks
-/// and destroys (any domain, parents included, so domids are reused and
-/// COW refcounts fall), and returns it with its launch counter.
+/// Drives the platform through a random tape of launches, clones, forks,
+/// renames and destroys (any domain, parents included, so domids are
+/// reused and COW refcounts fall; renames draw from the launch names, so
+/// names are shared and moved), and returns it with its launch counter.
 fn reachable_platform(g: &mut Source) -> (Platform, usize) {
     let mut p = platform();
     let mut launched = 0;
@@ -318,6 +326,11 @@ fn reachable_platform(g: &mut Source) -> (Platform, usize) {
             }
             Step::Destroy { idx } if !live.is_empty() => {
                 p.destroy(live[idx % live.len()]).expect("destroy");
+            }
+            Step::Rename { idx, name } if !live.is_empty() => {
+                let d = live[idx % live.len()];
+                p.xl.rename(&mut p.xs, d, &format!("d{}", name % 3))
+                    .expect("rename");
             }
             _ => {}
         }
@@ -402,4 +415,39 @@ fn fork_then_destroying_the_children_restores_the_platform() {
             &format!("guest_fork({parent}, {nr}) then destroy {children:?}"),
         );
     });
+}
+
+#[test]
+fn rename_then_destroy_restores_the_platform() {
+    let mut p = platform();
+    let before = PlatformState::capture(&p);
+    let d = p
+        .launch(
+            &config(0, true),
+            &KernelImage::minios("inv"),
+            Box::new(Idle),
+        )
+        .expect("launch");
+    p.xl.rename(&mut p.xs, d, "renamed").expect("rename");
+    assert_eq!(
+        p.xs.peek(&format!("/local/domain/{}/vm", d.0)).as_deref(),
+        Some("/vm/renamed")
+    );
+    assert!(p.xs.exists("/vm/renamed/uuid") && !p.xs.exists("/vm/d0"));
+    p.destroy(d).expect("destroy");
+    assert_restored(&p, &before, "launch, rename and destroy");
+}
+
+#[test]
+fn destroying_dom0_is_refused_before_any_teardown() {
+    let mut p = platform();
+    p.launch(
+        &config(0, true),
+        &KernelImage::minios("inv"),
+        Box::new(Idle),
+    )
+    .expect("launch");
+    let before = PlatformState::capture(&p);
+    assert!(p.destroy(DomId::DOM0).is_err());
+    assert_restored(&p, &before, "destroy(DOM0)");
 }

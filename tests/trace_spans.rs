@@ -241,3 +241,25 @@ fn counters_track_clone_mechanics() {
         "first stage2 misses, second hits"
     );
 }
+
+#[test]
+fn a_relaunched_domid_is_a_new_parent_to_xencloned() {
+    let mut p = traced_platform();
+    let image = KernelImage::minios("reuse");
+    let alpha = p.launch_plain(&cfg("alpha"), &image).expect("boot alpha");
+    for c in p.clone_domain(alpha, 1).expect("clone alpha") {
+        p.destroy(c).expect("destroy alpha's clone");
+    }
+    p.destroy(alpha).expect("destroy alpha");
+    let beta = p.launch_plain(&cfg("beta"), &image).expect("boot beta");
+    assert_eq!(beta, alpha, "beta reuses alpha's domid");
+
+    let misses = p.trace().counter_total("xencloned.parent_cache.miss");
+    let child = p.clone_domain(beta, 1).expect("clone beta")[0];
+    assert_eq!(p.xl.record(child).map(|r| r.name.as_str()), Some("beta-c1"));
+    assert_eq!(
+        p.trace().counter_total("xencloned.parent_cache.miss") - misses,
+        1,
+        "beta's first clone reads beta's Xenstore information"
+    );
+}
